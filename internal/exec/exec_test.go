@@ -519,8 +519,31 @@ func TestDivisionByZeroInteger(t *testing.T) {
 	}
 }
 
+// parallelSrc mixes the constructs whose lowered form concurrent runs
+// share read-only: a CYCLIC(k) partitioned loop, a guarded element store
+// outside any loop and intrinsic calls.
+const parallelSrc = `PROGRAM par
+PARAMETER (N = 96)
+REAL A(N), B(N)
+!HPF$ PROCESSORS P(4)
+!HPF$ TEMPLATE T(N)
+!HPF$ ALIGN A(I) WITH T(I)
+!HPF$ ALIGN B(I) WITH T(I)
+!HPF$ DISTRIBUTE T(CYCLIC(3)) ONTO P
+FORALL (K=1:N) A(K) = SQRT(REAL(K)) + MOD(K, 7)
+DO ITER = 1, 4
+  FORALL (K=2:N-1) B(K) = 0.5*(A(K-1)+A(K+1)) + ABS(A(K))
+  A(ITER*10) = MAX(B(ITER*10), 1.0)
+END DO
+S = SUM(B)
+PRINT *, S
+END`
+
+// TestParallelRunsMatchSequential runs eight timed runs concurrently and
+// sequentially; under -race it also checks that concurrent runs only
+// read the program they share.
 func TestParallelRunsMatchSequential(t *testing.T) {
-	prog, err := compiler.Compile(piSrc(4))
+	prog, err := compiler.Compile(parallelSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,17 +553,26 @@ func TestParallelRunsMatchSequential(t *testing.T) {
 		m, _ := ipsc.New(cfg)
 		return m
 	}
-	par, err := Run(prog, mk(), Options{Runs: 6})
+	par, err := Run(prog, mk(), Options{Runs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Run(prog, mk(), Options{Runs: 6, Sequential: true})
+	seq, err := Run(prog, mk(), Options{Runs: 8, Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range par.RunsUS {
 		if par.RunsUS[i] != seq.RunsUS[i] {
 			t.Fatalf("run %d differs: parallel %g vs sequential %g", i, par.RunsUS[i], seq.RunsUS[i])
+		}
+	}
+	if par.Steps != seq.Steps || par.Stats != seq.Stats || strings.Join(par.Printed, "|") != strings.Join(seq.Printed, "|") {
+		t.Fatalf("parallel %d steps %+v %q vs sequential %d steps %+v %q",
+			par.Steps, par.Stats, par.Printed, seq.Steps, seq.Stats, seq.Printed)
+	}
+	for r := range par.PerNodeUS {
+		if par.PerNodeUS[r] != seq.PerNodeUS[r] {
+			t.Fatalf("node %d clock differs: parallel %g vs sequential %g", r, par.PerNodeUS[r], seq.PerNodeUS[r])
 		}
 	}
 }
