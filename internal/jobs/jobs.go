@@ -146,8 +146,11 @@ type Config struct {
 	// OnTrace, when set, turns on per-job observability: every
 	// execution runs under a fresh span tree rooted at "jobs.run" (job
 	// id, kind and run attrs; pipeline spans nest under it via the
-	// context) and the finished tree is delivered here. The server
-	// feeds these into its trace ring.
+	// context) and the finished tree is delivered here, with the job's
+	// settled view, before the settled state is observable through Get,
+	// the journal or the event feed. It runs under the manager's lock
+	// and must not call back into the Manager. The server feeds these
+	// into its trace ring.
 	OnTrace func(job JobView, tree *obs.Tree)
 	// MaxSubscribers bounds live event feeds across all jobs (<= 0 =
 	// 128); Subscribe returns ErrSubscriberLimit beyond it, and the
@@ -611,10 +614,11 @@ func (m *Manager) runJob(j *job) {
 	}
 	result, err := m.cfg.Exec(ctx, view, env)
 	root.End()
-	m.finish(j, result, err)
+	var onSettled func(JobView)
 	if m.cfg.OnTrace != nil {
-		m.cfg.OnTrace(j.view(), tracer.Tree())
+		onSettled = func(v JobView) { m.cfg.OnTrace(v, tracer.Tree()) }
 	}
+	m.finish(j, result, err, onSettled)
 }
 
 // progress journals a checkpointed(n) transition for a running job.
@@ -637,56 +641,63 @@ func (m *Manager) progress(j *job, done int) {
 // draining and the executor stopped on the drain cancellation, a
 // handoff: the job is re-marked submitted so the next process resumes
 // it from the final checkpoint its cancellation path flushed.
-func (m *Manager) finish(j *job, result json.RawMessage, err error) {
+//
+// onSettled, when non-nil, receives the job's settled view before the
+// transition becomes observable: it runs under m.mu, ahead of the
+// journal record and the event that wakes Get, WaitJob and SSE
+// subscribers, so whatever it records (the job's trace) is in place by
+// the time anyone sees the job finished.
+func (m *Manager) finish(j *job, result json.RawMessage, err error, onSettled func(JobView)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j.cancel = nil
 	now := time.Now().UTC()
+	var rec record
+	var what, evErr string
 	switch {
 	case err == nil:
 		crash("exec:before-done")
 		j.state = StateDone
 		j.result = result
 		j.finishedAt = now
-		if aerr := m.jn.append(record{Job: j.id, State: StateDone, Time: now, Done: j.done, Result: result}); aerr != nil {
-			m.cfg.Log.Warn("jobs: journaling done transition", "job", j.id, "err", aerr.Error())
-		}
-		m.appendEventLocked(j, StateDone, j.done, "", now)
+		rec = record{Job: j.id, State: StateDone, Time: now, Done: j.done, Result: result}
+		what = "done transition"
 		m.finishedDone++
-		m.removeCheckpoints(j.id)
 	case j.cancelReq:
 		j.state = StateCancelled
 		j.errMsg = err.Error()
 		j.finishedAt = now
-		if aerr := m.jn.append(record{Job: j.id, State: StateCancelled, Time: now, Done: j.done, Error: j.errMsg}); aerr != nil {
-			m.cfg.Log.Warn("jobs: journaling cancelled transition", "job", j.id, "err", aerr.Error())
-		}
-		m.appendEventLocked(j, StateCancelled, j.done, j.errMsg, now)
+		rec = record{Job: j.id, State: StateCancelled, Time: now, Done: j.done, Error: j.errMsg}
+		what, evErr = "cancelled transition", j.errMsg
 		m.finishedCancelled++
-		m.removeCheckpoints(j.id)
 	case m.draining && errors.Is(err, context.Canceled):
 		// Drain handoff: the final checkpoint is on disk (the sweep
 		// machinery flushes on the cancellation path); hand the job to
 		// the next process instead of failing it.
 		j.state = StateSubmitted
-		if aerr := m.jn.append(record{
+		rec = record{
 			Job: j.id, State: StateSubmitted, Time: now, Kind: j.kind,
 			Payload: j.payload, Runs: j.runs, Submitted: j.submittedAt,
-		}); aerr != nil {
-			m.cfg.Log.Warn("jobs: journaling drain handoff", "job", j.id, "err", aerr.Error())
 		}
-		m.appendEventLocked(j, StateSubmitted, j.done, "", now)
+		what = "drain handoff"
 		m.handoffs++
 		m.submitted-- // not a new submission; keep the counter meaningful
 	default:
 		j.state = StateFailed
 		j.errMsg = err.Error()
 		j.finishedAt = now
-		if aerr := m.jn.append(record{Job: j.id, State: StateFailed, Time: now, Done: j.done, Error: j.errMsg}); aerr != nil {
-			m.cfg.Log.Warn("jobs: journaling failed transition", "job", j.id, "err", aerr.Error())
-		}
-		m.appendEventLocked(j, StateFailed, j.done, j.errMsg, now)
+		rec = record{Job: j.id, State: StateFailed, Time: now, Done: j.done, Error: j.errMsg}
+		what, evErr = "failed transition", j.errMsg
 		m.finishedFailed++
+	}
+	if onSettled != nil {
+		onSettled(j.view())
+	}
+	if aerr := m.jn.append(rec); aerr != nil {
+		m.cfg.Log.Warn("jobs: journaling "+what, "job", j.id, "err", aerr.Error())
+	}
+	m.appendEventLocked(j, j.state, j.done, evErr, now)
+	if j.state.Terminal() {
 		m.removeCheckpoints(j.id)
 	}
 	if j.state.Terminal() && (m.jn.bytes > m.cfg.MaxJournalBytes || m.terminalCountLocked() > m.cfg.RetainTerminal) {

@@ -363,3 +363,27 @@ func TestOpenValidation(t *testing.T) {
 		t.Fatal("Open accepted nil Exec")
 	}
 }
+
+// TestTraceRecordedBeforeDone pins the ordering a client relies on when
+// it waits for a job and then reads the trace ring: OnTrace has received
+// the job's trace, with the terminal view, by the time Get reports the
+// job done. A slow OnTrace widens the window the ordering must close.
+func TestTraceRecordedBeforeDone(t *testing.T) {
+	var traced atomic.Value // JobView
+	m := openTest(t, t.TempDir(), echoExec, func(c *Config) {
+		c.OnTrace = func(v JobView, _ *obs.Tree) {
+			time.Sleep(50 * time.Millisecond)
+			traced.Store(v)
+		}
+	})
+	v, _ := m.Submit("predict", json.RawMessage(`{"n":1}`), Options{})
+	waitState(t, m, v.ID, StateDone)
+	got, ok := traced.Load().(JobView)
+	if !ok {
+		t.Fatal("job reported done before its trace was recorded")
+	}
+	if got.State != StateDone || got.FinishedAt == nil || string(got.Result) != `{"n":1}` {
+		t.Fatalf("trace recorded with a non-terminal view: %+v", got)
+	}
+	drain(t, m)
+}
