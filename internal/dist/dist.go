@@ -150,6 +150,33 @@ func (d DimDist) Owner(g int) int {
 	panic("dist: bad kind")
 }
 
+// OwnerMath is Owner without the bounds check or the per-call kind
+// dispatch, for hot loops that have already checked their index: the
+// owner coordinate of global index g is (g-Lo)/BlockSize, reduced
+// modulo NProc for CYCLIC.
+type OwnerMath struct {
+	lo, blk, nproc int // nproc 0: no wraparound (BLOCK, collapsed)
+}
+
+// OwnerMath returns the dimension's owner arithmetic.
+func (d DimDist) OwnerMath() OwnerMath {
+	o := OwnerMath{lo: d.Lo, blk: d.BlockSize()}
+	if d.Kind == Cyclic {
+		o.nproc = d.NProc
+	}
+	return o
+}
+
+// Of returns the owner coordinate of global index g, which must lie in
+// the dimension's bounds.
+func (o OwnerMath) Of(g int) int {
+	q := (g - o.lo) / o.blk
+	if o.nproc > 0 {
+		q %= o.nproc
+	}
+	return q
+}
+
 // ToLocal converts a global index to the owner's local 0-based offset.
 func (d DimDist) ToLocal(g int) int {
 	d.check(g)

@@ -55,6 +55,21 @@ func TestPropertyRoundTripIdentity(t *testing.T) {
 	}
 }
 
+func TestPropertyOwnerMathMatchesOwner(t *testing.T) {
+	// The executor's unchecked owner arithmetic agrees with Owner on
+	// every in-bounds index of every kind.
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		d := randDist(rng)
+		om := d.OwnerMath()
+		for g := d.Lo; g <= d.Hi; g++ {
+			if got, want := om.Of(g), d.Owner(g); got != want {
+				t.Fatalf("%v: OwnerMath.Of(%d) = %d, Owner = %d", d, g, got, want)
+			}
+		}
+	}
+}
+
 func TestPropertyLocalSizesPartitionExtent(t *testing.T) {
 	// Local sizes sum to the extent (every element owned exactly once),
 	// none exceeds MaxLocalSize, and some processor attains the max.

@@ -7,14 +7,6 @@ import (
 	"hpfperf/internal/sem"
 )
 
-// stCost is the precomputed per-execution timing of a statement under the
-// detailed machine model: cycles charged to the ranks that execute it,
-// plus the ownership-test cycles charged to every rank reaching it.
-type stCost struct {
-	cycles      float64
-	guardCycles float64
-}
-
 // costCtx carries loop context during static cost analysis.
 type costCtx struct {
 	innerVar  string // variable of the innermost enclosing loop
@@ -24,92 +16,11 @@ type costCtx struct {
 	missScale map[*hir.Elem]float64
 }
 
-// analyzeCosts walks the program once, computing per-statement costs.
-func (vm *VM) analyzeCosts() {
-	vm.costs = make(map[hir.Stmt]*stCost)
-	vm.analyzeStmts(vm.prog.Body, costCtx{})
-}
-
-func (vm *VM) analyzeStmts(ss []hir.Stmt, ctx costCtx) {
-	for _, s := range ss {
-		vm.analyzeStmt(s, ctx)
-	}
-}
-
-func (vm *VM) analyzeStmt(s hir.Stmt, ctx costCtx) {
-	P := vm.mach.Node().P
-	switch x := s.(type) {
-	case *hir.Assign:
-		c := &stCost{}
-		var storeScale float64
-		ctx.missScale, storeScale = vm.groupMissScale(x)
-		c.cycles = vm.exprCycles(x.Rhs, ctx) + P.StartupStatueCycles
-		switch lhs := x.Lhs.(type) {
-		case *hir.ElemLV:
-			for _, sub := range lhs.Subs {
-				c.cycles += vm.exprCycles(sub, ctx) + P.IntOpCycles
-			}
-			cls := vm.accessClass(lhs.Subs, false, ctx)
-			c.cycles += vm.mach.MemAccessCyclesScaled(true, cls, ctx.footprint, lhs.Typ.Bytes(), storeScale)
-			c.cycles += P.IndexCycles
-		case *hir.ScalarLV:
-			c.cycles += vm.mach.Node().M.StoreCycles
-		}
-		if x.Guard {
-			c.guardCycles = P.GuardCycles
-		}
-		vm.costs[s] = c
-	case *hir.Loop:
-		c := &stCost{}
-		c.cycles = vm.exprCycles(x.Lo, ctx) + vm.exprCycles(x.Hi, ctx) + vm.exprCycles(x.Step, ctx)
-		vm.costs[s] = c
-		inner := costCtx{innerVar: x.Var, footprint: ctx.footprint}
-		if ctx.footprint == 0 {
-			inner.footprint = vm.nestFootprint(x)
-		}
-		vm.analyzeStmts(x.Body, inner)
-	case *hir.While:
-		vm.costs[s] = &stCost{cycles: vm.exprCycles(x.Cond, ctx) + P.BranchCycles}
-		vm.analyzeStmts(x.Body, ctx)
-	case *hir.If:
-		vm.costs[s] = &stCost{cycles: vm.exprCycles(x.Cond, ctx) + P.BranchCycles}
-		vm.analyzeStmts(x.Then, ctx)
-		vm.analyzeStmts(x.Else, ctx)
-	case *hir.FetchElem:
-		c := &stCost{}
-		for _, sub := range x.Subs {
-			c.cycles += vm.exprCycles(sub, ctx)
-		}
-		vm.costs[s] = c
-	case *hir.Print:
-		c := &stCost{}
-		for _, a := range x.Args {
-			c.cycles += vm.exprCycles(a, ctx)
-		}
-		vm.costs[s] = c
-	case *hir.Reduce:
-		// Local combine bookkeeping per stage is tiny; charged as a fixed
-		// handful of cycles (the network cost dominates and is charged by
-		// the machine model).
-		vm.costs[s] = &stCost{cycles: 12}
-	case *hir.CShift:
-		vm.costs[s] = &stCost{cycles: vm.exprCycles(x.Shift, ctx)}
-	case *hir.EOShift:
-		c := &stCost{cycles: vm.exprCycles(x.Shift, ctx)}
-		if x.Boundary != nil {
-			c.cycles += vm.exprCycles(x.Boundary, ctx)
-		}
-		vm.costs[s] = c
-	case *hir.Shift, *hir.AllGather:
-		vm.costs[s] = &stCost{}
-	}
-}
-
 // exprCycles returns the detailed per-evaluation cycle cost of an
 // expression: processing operations plus cache-modeled memory accesses.
-func (vm *VM) exprCycles(e hir.Expr, ctx costCtx) float64 {
-	P := vm.mach.Node().P
-	M := vm.mach.Node().M
+func (l *lowerer) exprCycles(e hir.Expr, ctx costCtx) float64 {
+	P := l.mach.Node().P
+	M := l.mach.Node().M
 	switch x := e.(type) {
 	case *hir.Const:
 		return 0
@@ -118,17 +29,17 @@ func (vm *VM) exprCycles(e hir.Expr, ctx costCtx) float64 {
 	case *hir.Elem:
 		c := P.IndexCycles
 		for _, sub := range x.Subs {
-			c += vm.exprCycles(sub, ctx) + P.IntOpCycles
+			c += l.exprCycles(sub, ctx) + P.IntOpCycles
 		}
-		cls := vm.accessClass(x.Subs, x.Shadow, ctx)
+		cls := l.accessClass(x.Subs, x.Shadow, ctx)
 		scale := 1.0
 		if f, ok := ctx.missScale[x]; ok {
 			scale = f
 		}
-		c += vm.mach.MemAccessCyclesScaled(false, cls, ctx.footprint, x.Typ.Bytes(), scale)
+		c += l.mach.MemAccessCyclesScaled(false, cls, ctx.footprint, x.Typ.Bytes(), scale)
 		return c
 	case *hir.Bin:
-		c := vm.exprCycles(x.X, ctx) + vm.exprCycles(x.Y, ctx)
+		c := l.exprCycles(x.X, ctx) + l.exprCycles(x.Y, ctx)
 		isInt := x.Typ == ast.TInteger
 		switch {
 		case x.Op == hir.OpAdd || x.Op == hir.OpSub:
@@ -158,7 +69,7 @@ func (vm *VM) exprCycles(e hir.Expr, ctx costCtx) float64 {
 		}
 		return c
 	case *hir.Un:
-		c := vm.exprCycles(x.X, ctx)
+		c := l.exprCycles(x.X, ctx)
 		if x.Op == hir.OpNot {
 			return c + P.LogicalCycles
 		}
@@ -174,7 +85,7 @@ func (vm *VM) exprCycles(e hir.Expr, ctx costCtx) float64 {
 			c += 20
 		}
 		for _, a := range x.Args {
-			c += vm.exprCycles(a, ctx)
+			c += l.exprCycles(a, ctx)
 		}
 		return c
 	}
@@ -186,7 +97,7 @@ func (vm *VM) exprCycles(e hir.Expr, ctx costCtx) float64 {
 // columns and share cache lines) and returns a per-reference miss-rate
 // scale factor: lines touched by the group divided by references in the
 // group.
-func (vm *VM) groupMissScale(x *hir.Assign) (map[*hir.Elem]float64, float64) {
+func (l *lowerer) groupMissScale(x *hir.Assign) (map[*hir.Elem]float64, float64) {
 	type group struct {
 		elems  []*hir.Elem
 		consts []int64
@@ -237,7 +148,7 @@ func (vm *VM) groupMissScale(x *hir.Assign) (map[*hir.Elem]float64, float64) {
 		return nil, 1
 	}
 	scale := make(map[*hir.Elem]float64)
-	line := vm.mach.Node().M.LineBytes
+	line := l.mach.Node().M.LineBytes
 	for _, g := range groups {
 		if len(g.elems) < 2 {
 			continue
@@ -273,7 +184,7 @@ func (vm *VM) groupMissScale(x *hir.Assign) (map[*hir.Elem]float64, float64) {
 // accessClass classifies an element access stream by where the innermost
 // loop variable appears in the subscripts (Fortran column-major: the first
 // subscript is contiguous).
-func (vm *VM) accessClass(subs []hir.Expr, shadow bool, ctx costCtx) ipsc.AccessClass {
+func (l *lowerer) accessClass(subs []hir.Expr, shadow bool, ctx costCtx) ipsc.AccessClass {
 	if shadow {
 		return ipsc.Random
 	}
@@ -318,13 +229,13 @@ func exprUsesVar(e hir.Expr, name string) bool {
 // nestFootprint estimates the per-node bytes touched by a loop nest: the
 // sum of the local shares of every array referenced inside it (whole size
 // for replicated arrays and gathered shadows).
-func (vm *VM) nestFootprint(loop *hir.Loop) int {
+func (l *lowerer) nestFootprint(loop *hir.Loop) int {
 	seen := make(map[string]int)
 	var scanExpr func(e hir.Expr)
 	scanExpr = func(e hir.Expr) {
 		switch x := e.(type) {
 		case *hir.Elem:
-			b := vm.arrayLocalBytes(x.Array, x.Shadow)
+			b := l.arrayLocalBytes(x.Array, x.Shadow)
 			if b > seen[x.Array] {
 				seen[x.Array] = b
 			}
@@ -349,7 +260,7 @@ func (vm *VM) nestFootprint(loop *hir.Loop) int {
 			case *hir.Assign:
 				scanExpr(x.Rhs)
 				if lhs, ok := x.Lhs.(*hir.ElemLV); ok {
-					b := vm.arrayLocalBytes(lhs.Array, false)
+					b := l.arrayLocalBytes(lhs.Array, false)
 					if b > seen[lhs.Array] {
 						seen[lhs.Array] = b
 					}
@@ -387,8 +298,8 @@ func (vm *VM) nestFootprint(loop *hir.Loop) int {
 
 // arrayLocalBytes returns the per-node storage of an array: its local
 // share when distributed, the full size when replicated or shadowed.
-func (vm *VM) arrayLocalBytes(name string, shadow bool) int {
-	sym := vm.prog.Info.Sym(name)
+func (l *lowerer) arrayLocalBytes(name string, shadow bool) int {
+	sym := l.hp.Info.Sym(name)
 	if sym == nil || sym.Kind != sem.SymArray {
 		return 0
 	}

@@ -576,3 +576,31 @@ func TestParallelRunsMatchSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestMixedKindScalars pins the value kinds the executor has always
+// produced where a scalar's kind depends on which definition reached it
+// (a FORALL index reusing a REAL scalar's name leaves an INTEGER behind;
+// an unassigned read takes the declared type) and where MIN/MAX return
+// the winning argument with its own kind. The printed forms differ
+// between INTEGER ("1000000") and REAL ("1e+06") values.
+func TestMixedKindScalars(t *testing.T) {
+	cases := []struct {
+		body string
+		want []string
+	}{
+		{"REAL R(4)\nX = 2.5\nFORALL (X=1:4) R(X) = X * 1.5\nPRINT *, X\nY = X / 2\nPRINT *, Y, R(4)",
+			[]string{"4", "2 6"}},
+		{"PRINT *, MAX(1000000, 2.5), MIN(3, 2.0, 7), MAX(2, 9)\nZ = MAX(1000000, 2.5)\nPRINT *, Z",
+			[]string{"1000000 2 9", "1e+06"}},
+		{"REAL R(4)\nPRINT *, X\nFORALL (X=1:4) R(X) = 1.0\nPRINT *, X, ABS(X - 9), MOD(X, 3), X .EQ. 4",
+			[]string{"0", "4 5 1 T"}},
+		{"LOGICAL L\nL = .TRUE.\nK = 7\nPRINT *, L, K, 7.0 / 2, 7 / 2, -K, .NOT. L, K ** 2, 2.0 ** 0.5",
+			[]string{"T 7 3.5 3 -7 F 49 1.4142135623730951"}},
+	}
+	for _, tc := range cases {
+		res := run(t, "PROGRAM k\n!HPF$ PROCESSORS P(1)\n"+tc.body+"\nEND", 1)
+		if strings.Join(res.Printed, "|") != strings.Join(tc.want, "|") {
+			t.Errorf("%s\nprinted %q, want %q", tc.body, res.Printed, tc.want)
+		}
+	}
+}

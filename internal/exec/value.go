@@ -9,6 +9,11 @@
 // computation is charged to the owners of each partitioned iteration,
 // communication statements advance the participating nodes' clocks
 // through the network model.
+//
+// RunContext lowers the program once (lower.go, expr.go, cost.go) into
+// a tree of statement closures with precomputed costs, scalars resolved
+// to frame slots and arrays to storage indices; every timed run then
+// executes that shared, read-only program against its own frame.
 package exec
 
 import (
@@ -104,78 +109,3 @@ func convertTo(v val, t ast.BaseType) val {
 		return floatV(v.asF())
 	}
 }
-
-// array is the global storage of one program array, Fortran column-major
-// (first subscript varies fastest).
-type array struct {
-	name    string
-	typ     ast.BaseType
-	bounds  [][2]int
-	strides []int
-	data    []float64
-}
-
-func newArray(name string, typ ast.BaseType, bounds [][2]int) *array {
-	a := &array{name: name, typ: typ, bounds: bounds}
-	a.strides = make([]int, len(bounds))
-	size := 1
-	for d, b := range bounds {
-		a.strides[d] = size
-		size *= b[1] - b[0] + 1
-	}
-	a.data = make([]float64, size)
-	return a
-}
-
-// offset computes the linear offset of a global index vector, with bounds
-// checking.
-func (a *array) offset(idx []int) (int, error) {
-	off := 0
-	for d, g := range idx {
-		b := a.bounds[d]
-		if g < b[0] || g > b[1] {
-			return 0, fmt.Errorf("subscript %d of %s is %d, outside [%d,%d]", d+1, a.name, g, b[0], b[1])
-		}
-		off += (g - b[0]) * a.strides[d]
-	}
-	return off, nil
-}
-
-func (a *array) get(idx []int) (val, error) {
-	off, err := a.offset(idx)
-	if err != nil {
-		return val{}, err
-	}
-	f := a.data[off]
-	switch a.typ {
-	case ast.TInteger:
-		return intV(int64(f)), nil
-	case ast.TLogical:
-		return boolV(f != 0), nil
-	default:
-		return floatV(f), nil
-	}
-}
-
-func (a *array) set(idx []int, v val) error {
-	off, err := a.offset(idx)
-	if err != nil {
-		return err
-	}
-	switch a.typ {
-	case ast.TInteger:
-		a.data[off] = float64(v.asI())
-	case ast.TLogical:
-		if v.asB() {
-			a.data[off] = 1
-		} else {
-			a.data[off] = 0
-		}
-	default:
-		a.data[off] = v.asF()
-	}
-	return nil
-}
-
-// elems returns the total element count.
-func (a *array) elems() int { return len(a.data) }

@@ -4,16 +4,12 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 
-	"hpfperf/internal/ast"
-	"hpfperf/internal/dist"
 	"hpfperf/internal/faults"
 	"hpfperf/internal/hir"
 	"hpfperf/internal/ipsc"
 	"hpfperf/internal/obs"
-	"hpfperf/internal/sem"
 )
 
 // Options controls program execution.
@@ -47,22 +43,6 @@ type Result struct {
 	Steps int64
 }
 
-// VM executes an SPMD node program against the machine model.
-type VM struct {
-	prog    *hir.Program
-	mach    *ipsc.Machine
-	grid    *dist.Grid
-	ctx     context.Context
-	arrays  map[string]*array
-	env     map[string]val
-	costs   map[hir.Stmt]*stCost
-	coords  [][]int
-	printed []string
-	steps   int64
-	maxStep int64
-	curLine int
-}
-
 // Run compiles-in and executes the program, averaging opts.Runs timed runs.
 func Run(prog *hir.Program, mach *ipsc.Machine, opts Options) (*Result, error) {
 	return RunContext(context.Background(), prog, mach, opts)
@@ -72,6 +52,11 @@ func Run(prog *hir.Program, mach *ipsc.Machine, opts Options) (*Result, error) {
 // checks ctx every ctxCheckSteps executed statements, so a cancelled or
 // timed-out request escapes a long simulation mid-sweep instead of
 // running it to completion.
+//
+// The program is lowered once (statement costs, scalar slots, array
+// storage indices, owner arithmetic) and the lowered form is shared
+// read-only by every timed run; each run gets its own frame and its own
+// deterministically seeded machine clone.
 func RunContext(ctx context.Context, prog *hir.Program, mach *ipsc.Machine, opts Options) (*Result, error) {
 	if opts.Runs <= 0 {
 		opts.Runs = 1
@@ -88,35 +73,23 @@ func RunContext(ctx context.Context, prog *hir.Program, mach *ipsc.Machine, opts
 		return nil, fmt.Errorf("exec: program grid %s has %d processors but machine has %d nodes",
 			grid, grid.Size(), mach.Nodes())
 	}
+	lp := lower(prog, mach)
 	res := &Result{}
 	res.RunsUS = make([]float64, opts.Runs)
 
 	type runOut struct {
-		vm  *VM
+		fr  *frame
 		err error
 	}
 	outs := make([]runOut, opts.Runs)
 	oneRun := func(run int) {
-		m := mach.CloneForRun(run)
-		vm := &VM{prog: prog, mach: m, grid: grid, ctx: ctx, maxStep: opts.MaxSteps}
-		vm.coords = make([][]int, grid.Size())
-		for r := 0; r < grid.Size(); r++ {
-			vm.coords[r] = grid.Coords(r)
-		}
-		vm.analyzeCosts()
-		vm.arrays = make(map[string]*array)
-		for name, sym := range prog.Info.Symbols {
-			if sym.Kind == sem.SymArray {
-				vm.arrays[name] = newArray(name, sym.Type, sym.Bounds)
-			}
-		}
-		vm.env = make(map[string]val)
-		if err := vm.execStmts(prog.Body, vm.freePC()); err != nil {
+		fr := newFrame(lp, mach.CloneForRun(run), ctx, opts.MaxSteps)
+		if err := fr.exec(lp.body, fr.pcs[pcFree]); err != nil {
 			outs[run] = runOut{err: err}
 			return
 		}
-		res.RunsUS[run] = m.MeasuredTimeUS()
-		outs[run] = runOut{vm: vm}
+		res.RunsUS[run] = fr.mach.MeasuredTimeUS()
+		outs[run] = runOut{fr: fr}
 	}
 	if opts.Sequential || opts.Runs == 1 {
 		for run := 0; run < opts.Runs; run++ {
@@ -138,23 +111,23 @@ func RunContext(ctx context.Context, prog *hir.Program, mach *ipsc.Machine, opts
 		}
 		wg.Wait()
 	}
-	var vm *VM
+	var last *frame
 	for _, o := range outs {
 		if o.err != nil {
 			return nil, o.err
 		}
-		vm = o.vm
+		last = o.fr
 	}
 	for _, t := range res.RunsUS {
 		res.MeasuredUS += t / float64(opts.Runs)
 	}
 	res.PerNodeUS = make([]float64, mach.Nodes())
 	for r := 0; r < mach.Nodes(); r++ {
-		res.PerNodeUS[r] = vm.mach.Time(r)
+		res.PerNodeUS[r] = last.mach.Time(r)
 	}
-	res.Printed = vm.printed
-	res.Stats = vm.mach.Stats
-	res.Steps = vm.steps
+	res.Printed = last.printed
+	res.Stats = last.mach.Stats
+	res.Steps = last.steps
 	return res, nil
 }
 
@@ -166,42 +139,95 @@ func maxParallel() int {
 	return n
 }
 
-// freePC returns an unconstrained partition context (one slot per grid
-// dimension, -1 = unconstrained).
-func (vm *VM) freePC() []int {
-	pc := make([]int, len(vm.grid.Shape))
-	for i := range pc {
-		pc[i] = -1
-	}
-	return pc
+// frame is the mutable state of one timed run of a lowered program:
+// scalar slots, array storage, partition-context buffers and the run's
+// machine clone.
+type frame struct {
+	p    *program
+	mach *ipsc.Machine
+	ctx  context.Context
+
+	ints   []int64
+	floats []float64
+	bools  []bool
+	vals   []val  // scalars written with several kinds
+	set    []bool // vals[i] has been assigned
+	arrays [][]float64
+	// pcs holds the partition-context buffers (see pcFree, pcGuard,
+	// pcLoops), one coordinate per grid dimension, -1 = unconstrained.
+	pcs     [][]int
+	fetched float64 // element located by the current FetchElem
+
+	printed []string
+	steps   int64
+	maxStep int64
+	line    int   // source line of the statement executing (or last executed)
+	err     error // first run-time error raised inside an expression
 }
 
-// matches reports whether a rank satisfies the partition constraints.
-func (vm *VM) matches(pc []int, rank int) bool {
-	c := vm.coords[rank]
-	for d, want := range pc {
-		if want >= 0 && c[d] != want {
-			return false
+func newFrame(p *program, mach *ipsc.Machine, ctx context.Context, maxSteps int64) *frame {
+	fr := &frame{
+		p: p, mach: mach, ctx: ctx, maxStep: maxSteps,
+		ints:   make([]int64, p.nints),
+		floats: make([]float64, p.nfloats),
+		bools:  make([]bool, p.nbools),
+		vals:   make([]val, p.nvals),
+		set:    make([]bool, p.nvals),
+		arrays: make([][]float64, len(p.arrays)),
+		pcs:    make([][]int, p.npcs),
+	}
+	for i, a := range p.arrays {
+		fr.arrays[i] = make([]float64, a.size)
+	}
+	pcs := make([]int, p.npcs*p.dims)
+	for i := range pcs {
+		pcs[i] = -1
+	}
+	for i := range fr.pcs {
+		fr.pcs[i] = pcs[i*p.dims : (i+1)*p.dims : (i+1)*p.dims]
+	}
+	return fr
+}
+
+// runtimeError is an execution error with source line context.
+type runtimeError struct {
+	line int
+	msg  string
+}
+
+func (e *runtimeError) Error() string {
+	if e.line > 0 {
+		return fmt.Sprintf("runtime error at line %d: %s", e.line, e.msg)
+	}
+	return "runtime error: " + e.msg
+}
+
+// errorf returns a run-time error at the current line.
+func (fr *frame) errorf(format string, args ...any) error {
+	return &runtimeError{line: fr.line, msg: fmt.Sprintf(format, args...)}
+}
+
+// fail records a run-time error raised while evaluating an expression;
+// the first one raised wins, as evaluation would have stopped there.
+func (fr *frame) fail(format string, args ...any) {
+	if fr.err == nil {
+		fr.err = fr.errorf(format, args...)
+	}
+}
+
+func (fr *frame) failBounds(dim int, array string, g, lo, hi int) {
+	fr.fail("subscript %d of %s is %d, outside [%d,%d]", dim, array, g, lo, hi)
+}
+
+// exec runs a statement list under partition context pc.
+func (fr *frame) exec(body []stmt, pc []int) error {
+	for i := range body {
+		s := &body[i]
+		fr.line = s.line
+		if err := fr.tick(); err != nil {
+			return err
 		}
-	}
-	return true
-}
-
-// charge adds cycles to every rank matching the partition context.
-func (vm *VM) charge(pc []int, cycles float64) {
-	if cycles == 0 {
-		return
-	}
-	for r := 0; r < vm.grid.Size(); r++ {
-		if vm.matches(pc, r) {
-			vm.mach.Compute(r, cycles)
-		}
-	}
-}
-
-func (vm *VM) execStmts(ss []hir.Stmt, pc []int) error {
-	for _, s := range ss {
-		if err := vm.execStmt(s, pc); err != nil {
+		if err := s.run(fr, pc); err != nil {
 			return err
 		}
 	}
@@ -213,410 +239,62 @@ func (vm *VM) execStmts(ss []hir.Stmt, pc []int) error {
 // cancellation latency well below a millisecond.
 const ctxCheckSteps = 1024
 
-func (vm *VM) tick() error {
-	vm.steps++
-	if vm.steps > vm.maxStep {
-		return vm.rtErrf("execution exceeded %d statements (runaway loop?)", vm.maxStep)
-	}
-	if vm.steps%ctxCheckSteps == 0 {
-		if err := vm.ctx.Err(); err != nil {
-			return err
-		}
-		// Chaos hook: shares the stride so the statement loop stays at
-		// one modulo per statement when chaos is off.
-		if err := faults.Fire(faults.SiteExec); err != nil {
-			return err
-		}
+// tick counts one executed statement or loop iteration.
+func (fr *frame) tick() error {
+	fr.steps++
+	if fr.steps > fr.maxStep || fr.steps%ctxCheckSteps == 0 {
+		return fr.checkpoint()
 	}
 	return nil
 }
 
-func (vm *VM) execStmt(s hir.Stmt, pc []int) error {
-	vm.curLine = s.Line()
-	if err := vm.tick(); err != nil {
+func (fr *frame) checkpoint() error {
+	if fr.steps > fr.maxStep {
+		return fr.errorf("execution exceeded %d statements (runaway loop?)", fr.maxStep)
+	}
+	if err := fr.ctx.Err(); err != nil {
 		return err
 	}
-	switch x := s.(type) {
-	case *hir.Assign:
-		return vm.execAssign(x, pc)
-	case *hir.Loop:
-		return vm.execLoop(x, pc)
-	case *hir.While:
-		return vm.execWhile(x, pc)
-	case *hir.If:
-		cost := vm.costs[s]
-		vm.charge(pc, cost.cycles)
-		cond, err := vm.eval(x.Cond)
-		if err != nil {
-			return err
-		}
-		if cond.asB() {
-			return vm.execStmts(x.Then, pc)
-		}
-		return vm.execStmts(x.Else, pc)
-	case *hir.Reduce:
-		return vm.execReduce(x)
-	case *hir.Shift:
-		return vm.execShift(x)
-	case *hir.AllGather:
-		return vm.execAllGather(x)
-	case *hir.CShift:
-		return vm.execCShift(s, x.Dst, x.Src, x.Dim, x.Shift, nil, true)
-	case *hir.EOShift:
-		return vm.execCShift(s, x.Dst, x.Src, x.Dim, x.Shift, x.Boundary, false)
-	case *hir.FetchElem:
-		return vm.execFetch(x, pc)
-	case *hir.Print:
-		return vm.execPrint(x, pc)
-	}
-	return vm.rtErrf("unsupported statement %T", s)
+	// Chaos hook: shares the stride so the statement loop stays at one
+	// modulo per statement when chaos is off.
+	return faults.Fire(faults.SiteExec)
 }
 
-func (vm *VM) execAssign(x *hir.Assign, pc []int) error {
-	cost := vm.costs[x]
-	rhs, err := vm.eval(x.Rhs)
-	if err != nil {
-		return err
+// charge adds cycles to every rank matching the partition context.
+func (fr *frame) charge(pc []int, cycles float64) {
+	if cycles == 0 {
+		return
 	}
-	switch lhs := x.Lhs.(type) {
-	case *hir.ScalarLV:
-		vm.env[lhs.Name] = convertTo(rhs, lhs.Typ)
-		vm.charge(pc, cost.cycles)
-	case *hir.ElemLV:
-		a, ok := vm.arrays[lhs.Array]
-		if !ok {
-			return vm.rtErrf("array %s has no storage", lhs.Array)
-		}
-		idx, err := vm.evalSubs(lhs.Subs)
-		if err != nil {
-			return err
-		}
-		if err := a.set(idx, rhs); err != nil {
-			return vm.rtErrf("%v", err)
-		}
-		if x.Guard {
-			vm.charge(pc, cost.guardCycles)
-			m := vm.prog.Info.ArrayMap(lhs.Array)
-			for r := 0; r < vm.grid.Size(); r++ {
-				if vm.matches(pc, r) && m.Owns(r, idx) {
-					vm.mach.Compute(r, cost.cycles)
-				}
-			}
-		} else {
-			vm.charge(pc, cost.cycles)
-		}
-	}
-	return nil
+	fr.computeOn(pc, cycles)
 }
 
-func (vm *VM) execLoop(x *hir.Loop, pc []int) error {
-	cost := vm.costs[x]
-	vm.charge(pc, cost.cycles)
-	lo, err := vm.eval(x.Lo)
-	if err != nil {
-		return err
-	}
-	hi, err := vm.eval(x.Hi)
-	if err != nil {
-		return err
-	}
-	step, err := vm.eval(x.Step)
-	if err != nil {
-		return err
-	}
-	l, h, st := lo.asI(), hi.asI(), step.asI()
-	if st == 0 {
-		return vm.rtErrf("loop %s has zero step", x.Var)
-	}
-	P := vm.mach.Node().P
-	if x.Par == nil {
-		for i := l; (st > 0 && i <= h) || (st < 0 && i >= h); i += st {
-			if err := vm.tick(); err != nil {
-				return err
-			}
-			vm.env[x.Var] = intV(i)
-			vm.charge(pc, P.LoopOverheadCycles)
-			if err := vm.execStmts(x.Body, pc); err != nil {
-				return err
-			}
+// computeOn advances the clock of every rank matching pc by cycles, in
+// rank order.
+func (fr *frame) computeOn(pc []int, cycles float64) {
+	p := fr.p
+	rank, pinned := 0, true
+	for d, c := range pc {
+		if c < 0 {
+			pinned = false
+			break
 		}
-		return nil
+		rank = rank*p.shape[d] + c
 	}
-	m := vm.prog.Info.ArrayMap(x.Par.Array)
-	if m == nil {
-		return vm.rtErrf("partitioned loop references unmapped array %s", x.Par.Array)
+	if pinned {
+		fr.mach.Compute(rank, cycles)
+		return
 	}
-	dd := m.Dims[x.Par.Dim]
-	pd := dd.ProcDim
-	inner := append([]int(nil), pc...)
-	for i := l; (st > 0 && i <= h) || (st < 0 && i >= h); i += st {
-		if err := vm.tick(); err != nil {
-			return err
-		}
-		g := int(i) + x.Par.Offset
-		if g < dd.Lo || g > dd.Hi {
-			return vm.rtErrf("partitioned index %d outside dimension [%d,%d] of %s", g, dd.Lo, dd.Hi, x.Par.Array)
-		}
-		inner[pd] = dd.Owner(g)
-		vm.env[x.Var] = intV(i)
-		vm.charge(inner, P.LoopOverheadCycles)
-		if err := vm.execStmts(x.Body, inner); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (vm *VM) execWhile(x *hir.While, pc []int) error {
-	cost := vm.costs[x]
-	for iter := 0; ; iter++ {
-		if iter > 100_000_000 {
-			return vm.rtErrf("DO WHILE exceeded 1e8 iterations")
-		}
-		if err := vm.tick(); err != nil {
-			return err
-		}
-		vm.charge(pc, cost.cycles)
-		cond, err := vm.eval(x.Cond)
-		if err != nil {
-			return err
-		}
-		if !cond.asB() {
-			return nil
-		}
-		if err := vm.execStmts(x.Body, pc); err != nil {
-			return err
-		}
-	}
-}
-
-func (vm *VM) execReduce(x *hir.Reduce) error {
-	src, ok := vm.env[x.Src]
-	if !ok {
-		src = convertTo(val{}, x.Typ)
-	}
-	vm.env[x.Dst] = convertTo(src, x.Typ)
-	bytes := 8
-	if x.LocSrc != "" {
-		loc := vm.env[x.LocSrc]
-		vm.env[x.LocDst] = convertTo(loc, ast.TInteger)
-		bytes = 16
-	}
-	vm.mach.AllReduce(bytes)
-	vm.charge(vm.freePC(), vm.costs[x].cycles)
-	return nil
-}
-
-// stripBytes computes the per-rank halo volume of a shift of array m along
-// dimension dim by delta: the number of boundary elements exchanged with
-// the neighbour, times the local extent of every other dimension.
-func (vm *VM) stripBytes(m *dist.ArrayMap, elemBytes, dim, delta, rank int) int {
-	if delta < 0 {
-		delta = -delta
-	}
-	shape := m.LocalShape(rank)
-	dd := m.Dims[dim]
-	rows := delta
-	switch dd.Kind {
-	case dist.Block:
-		if rows > dd.BlockSize() {
-			rows = dd.BlockSize()
-		}
-	case dist.Cyclic:
-		rows = dist.CyclicShiftRows(shape[dim], dd.BlockSize(), delta)
-	}
-	vol := rows
-	for d, e := range shape {
-		if d != dim {
-			vol *= e
-		}
-	}
-	return vol * elemBytes
-}
-
-func (vm *VM) execShift(x *hir.Shift) error {
-	sym := vm.prog.Info.Sym(x.Array)
-	m := sym.Map
-	dd := m.Dims[x.Dim]
-	pd := dd.ProcDim
-	if pd < 0 || dd.NProc == 1 {
-		return nil
-	}
-	dir := 1
-	if x.Offset < 0 {
-		dir = -1
-	}
-	vm.mach.ShiftExchange(
-		func(rank int) int { return vm.stripBytes(m, sym.Type.Bytes(), x.Dim, x.Offset, rank) },
-		func(rank int) int {
-			c := append([]int(nil), vm.coords[rank]...)
-			c[pd] += dir
-			if c[pd] < 0 || c[pd] >= vm.grid.Shape[pd] {
-				return -1 // boundary: no wraparound for halo shifts
-			}
-			return vm.grid.Rank(c)
-		},
-	)
-	return nil
-}
-
-func (vm *VM) execAllGather(x *hir.AllGather) error {
-	sym := vm.prog.Info.Sym(x.Array)
-	m := sym.Map
-	vm.mach.AllGatherV(func(rank int) int {
-		return m.LocalCount(rank) * sym.Type.Bytes()
-	})
-	return nil
-}
-
-// execCShift implements CSHIFT (circular=true) and EOSHIFT/TSHIFT
-// functionally and charges the exchange plus the local copy.
-func (vm *VM) execCShift(stmt hir.Stmt, dstName, srcName string, dim int, shiftE, boundary hir.Expr, circular bool) error {
-	dst, ok := vm.arrays[dstName]
-	if !ok {
-		return vm.rtErrf("array %s has no storage", dstName)
-	}
-	src, ok := vm.arrays[srcName]
-	if !ok {
-		return vm.rtErrf("array %s has no storage", srcName)
-	}
-	sv, err := vm.eval(shiftE)
-	if err != nil {
-		return err
-	}
-	shift := int(sv.asI())
-	bval := 0.0
-	if boundary != nil {
-		bv, err := vm.eval(boundary)
-		if err != nil {
-			return err
-		}
-		bval = bv.asF()
-	}
-	// Functional copy: dst(..., i, ...) = src(..., i+shift, ...) with
-	// circular wraparound or boundary fill.
-	b := src.bounds[dim]
-	n := b[1] - b[0] + 1
-	idx := make([]int, len(src.bounds))
-	for d := range idx {
-		idx[d] = src.bounds[d][0]
-	}
-	total := src.elems()
-	srcIdx := make([]int, len(idx))
-	for k := 0; k < total; k++ {
-		copy(srcIdx, idx)
-		j := idx[dim] - b[0] + shift
-		inRange := true
-		if circular {
-			j = ((j % n) + n) % n
-		} else if j < 0 || j >= n {
-			inRange = false
-		}
-		var v float64
-		if inRange {
-			srcIdx[dim] = b[0] + j
-			off, err := src.offset(srcIdx)
-			if err != nil {
-				return vm.rtErrf("%v", err)
-			}
-			v = src.data[off]
-		} else {
-			v = bval
-		}
-		off, err := dst.offset(idx)
-		if err != nil {
-			return vm.rtErrf("%v", err)
-		}
-		dst.data[off] = v
-		// Advance the index vector (column-major order).
-		for d := 0; d < len(idx); d++ {
-			idx[d]++
-			if idx[d] <= src.bounds[d][1] {
+	for r := 0; r < p.nodes; r++ {
+		coords := p.coords[r*p.dims : (r+1)*p.dims]
+		match := true
+		for d, want := range pc {
+			if want >= 0 && coords[d] != want {
+				match = false
 				break
 			}
-			idx[d] = src.bounds[d][0]
+		}
+		if match {
+			fr.mach.Compute(r, cycles)
 		}
 	}
-
-	// Timing: boundary exchange with the neighbour in the shift direction
-	// plus the local data movement.
-	sym := vm.prog.Info.Sym(srcName)
-	m := sym.Map
-	if m != nil && !m.Replicated && dim < len(m.Dims) && m.Dims[dim].ProcDim >= 0 && m.Dims[dim].NProc > 1 {
-		pd := m.Dims[dim].ProcDim
-		dir := 1
-		if shift < 0 {
-			dir = -1
-		}
-		vm.mach.ShiftExchange(
-			func(rank int) int { return vm.stripBytes(m, sym.Type.Bytes(), dim, shift, rank) },
-			func(rank int) int {
-				c := append([]int(nil), vm.coords[rank]...)
-				c[pd] += dir
-				if circular {
-					c[pd] = ((c[pd] % vm.grid.Shape[pd]) + vm.grid.Shape[pd]) % vm.grid.Shape[pd]
-				} else if c[pd] < 0 || c[pd] >= vm.grid.Shape[pd] {
-					return -1
-				}
-				r := vm.grid.Rank(c)
-				if r == rank {
-					return -1
-				}
-				return r
-			},
-		)
-	}
-	M := vm.mach.Node().M
-	copyCycles := M.LoadCycles + M.StoreCycles + 2
-	for r := 0; r < vm.grid.Size(); r++ {
-		local := src.elems()
-		if m != nil && !m.Replicated {
-			local = m.LocalCount(r)
-		}
-		vm.mach.Compute(r, float64(local)*copyCycles)
-	}
-	vm.charge(vm.freePC(), vm.costs[stmt].cycles)
-	return nil
-}
-
-func (vm *VM) execFetch(x *hir.FetchElem, pc []int) error {
-	a, ok := vm.arrays[x.Array]
-	if !ok {
-		return vm.rtErrf("array %s has no storage", x.Array)
-	}
-	idx, err := vm.evalSubs(x.Subs)
-	if err != nil {
-		return err
-	}
-	v, err := a.get(idx)
-	if err != nil {
-		return vm.rtErrf("%v", err)
-	}
-	vm.env[x.Dst] = convertTo(v, x.Typ)
-	m := vm.prog.Info.ArrayMap(x.Array)
-	owner := 0
-	if m != nil {
-		owner = m.PrimaryOwner(idx)
-	}
-	vm.mach.FetchBroadcast(owner, x.Typ.Bytes())
-	vm.charge(pc, vm.costs[x].cycles)
-	return nil
-}
-
-func (vm *VM) execPrint(x *hir.Print, pc []int) error {
-	var parts []string
-	for _, a := range x.Args {
-		if c, ok := a.(*hir.Const); ok && c.Val.Type == ast.TCharacter {
-			continue
-		}
-		v, err := vm.eval(a)
-		if err != nil {
-			return err
-		}
-		parts = append(parts, v.String())
-	}
-	vm.printed = append(vm.printed, strings.Join(parts, " "))
-	vm.charge(pc, vm.costs[x].cycles)
-	vm.mach.HostIO(16 * len(x.Args))
-	return nil
 }

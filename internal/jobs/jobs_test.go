@@ -176,13 +176,18 @@ func TestRecoveryResumesRunningJob(t *testing.T) {
 	m1 := openTest(t, dir, func(ctx context.Context, _ JobView, _ ExecEnv) (json.RawMessage, error) {
 		started <- struct{}{}
 		<-block
-		return nil, ctx.Err()
+		return nil, errors.New("abandoned")
 	})
 	v, _ := m1.Submit("predict", json.RawMessage(`{"n":7}`), Options{})
 	<-started
 	// Simulated crash: abandon the manager without draining (the
-	// journal file stays as the dead process left it).
-	close(block)
+	// journal file stays as the dead process left it). Its executor
+	// stays blocked until the test is over, so the dead process never
+	// journals an outcome the recovering one could replay.
+	t.Cleanup(func() {
+		close(block)
+		drain(t, m1)
+	})
 
 	m2 := openTest(t, dir, echoExec)
 	got := waitState(t, m2, v.ID, StateDone)
