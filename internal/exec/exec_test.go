@@ -594,6 +594,9 @@ func TestMixedKindScalars(t *testing.T) {
 			[]string{"1000000 2 9", "1e+06"}},
 		{"REAL R(4)\nPRINT *, X\nFORALL (X=1:4) R(X) = 1.0\nPRINT *, X, ABS(X - 9), MOD(X, 3), X .EQ. 4",
 			[]string{"0", "4 5 1 T"}},
+		{"REAL R(4)\nFORALL (X=1:4) R(X) = 1.0\nPRINT *, ABS(X), MAX(X, 2.5), MIN(X, 7), MOD(X, 2.5), X + 0.5, X .LT. 4.5\n" +
+			"X = 1000000.0\nPRINT *, ABS(X), MAX(X, 2), MOD(X, 7)",
+			[]string{"4 4 4 1.5 4.5 T", "1e+06 1e+06 1"}},
 		{"LOGICAL L\nL = .TRUE.\nK = 7\nPRINT *, L, K, 7.0 / 2, 7 / 2, -K, .NOT. L, K ** 2, 2.0 ** 0.5",
 			[]string{"T 7 3.5 3 -7 F 49 1.4142135623730951"}},
 	}

@@ -51,9 +51,6 @@ type expr struct {
 	f func(*frame) float64
 	b func(*frame) bool
 	v func(*frame) val
-	// konst marks a literal; cv is its value.
-	konst bool
-	cv    val
 }
 
 func intE(fn func(*frame) int64) expr     { return expr{k: kInt, i: fn} }
@@ -149,7 +146,7 @@ func convert(e expr, t ast.BaseType) expr {
 
 // constE lowers a literal.
 func constE(v val) expr {
-	e := expr{k: kindOfVal(v), konst: true, cv: v}
+	e := expr{k: kindOfVal(v)}
 	switch e.k {
 	case kInt:
 		i := v.i
@@ -335,7 +332,7 @@ func (l *lowerer) bin(x *hir.Bin) expr {
 			return e
 		}
 	}
-	if e, ok := floatBin(op, a, b); ok {
+	if e, ok := floatBin(op, toF(a), toF(b)); ok {
 		return e
 	}
 	return failE("bad binary op "+op.String(), a, b)
@@ -374,38 +371,7 @@ func intBin(op hir.Op, a, b func(*frame) int64) (expr, bool) {
 	return expr{}, false
 }
 
-// floatBin lowers REAL arithmetic; a literal operand is captured as a
-// value instead of being called.
-func floatBin(op hir.Op, a, b expr) (expr, bool) {
-	if b.konst && op != hir.OpPow {
-		x, c := toF(a), b.cv.asF()
-		switch op {
-		case hir.OpAdd:
-			return floatE(func(fr *frame) float64 { return x(fr) + c }), true
-		case hir.OpSub:
-			return floatE(func(fr *frame) float64 { return x(fr) - c }), true
-		case hir.OpMul:
-			return floatE(func(fr *frame) float64 { return x(fr) * c }), true
-		case hir.OpDiv:
-			return floatE(func(fr *frame) float64 { return x(fr) / c }), true
-		}
-		return expr{}, false
-	}
-	if a.konst && op != hir.OpPow {
-		c, y := a.cv.asF(), toF(b)
-		switch op {
-		case hir.OpAdd:
-			return floatE(func(fr *frame) float64 { return c + y(fr) }), true
-		case hir.OpSub:
-			return floatE(func(fr *frame) float64 { return c - y(fr) }), true
-		case hir.OpMul:
-			return floatE(func(fr *frame) float64 { return c * y(fr) }), true
-		case hir.OpDiv:
-			return floatE(func(fr *frame) float64 { return c / y(fr) }), true
-		}
-		return expr{}, false
-	}
-	x, y := toF(a), toF(b)
+func floatBin(op hir.Op, x, y func(*frame) float64) (expr, bool) {
 	switch op {
 	case hir.OpAdd:
 		return floatE(func(fr *frame) float64 { return x(fr) + y(fr) }), true

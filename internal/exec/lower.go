@@ -212,15 +212,14 @@ func (l *lowerer) assignSlots() {
 	l.slots = make(map[string]slot, len(names))
 	p := l.prog
 	for _, name := range names {
-		ks := kinds[name]
+		// A name only ever read with conversion (an unassigned
+		// reduction source) can live in any typed slot.
 		k := kFloat
-		if len(ks) > 1 {
-			k = kDyn
+		for kk := range kinds[name] {
+			k = kk
 		}
-		for only := range ks {
-			if len(ks) == 1 {
-				k = only
-			}
+		if len(kinds[name]) > 1 {
+			k = kDyn
 		}
 		s := slot{k: k}
 		switch k {
@@ -237,7 +236,14 @@ func (l *lowerer) assignSlots() {
 	}
 }
 
-func (l *lowerer) slot(name string) slot { return l.slots[name] }
+func (l *lowerer) slot(name string) slot {
+	s, ok := l.slots[name]
+	if !ok {
+		// assignSlots walks every scalar position the lowering reads.
+		panic("exec: scalar " + name + " has no slot")
+	}
+	return s
+}
 
 // store returns a closure assigning e, converted to type t, to scalar
 // name.

@@ -83,7 +83,7 @@ func RunContext(ctx context.Context, prog *hir.Program, mach *ipsc.Machine, opts
 	}
 	outs := make([]runOut, opts.Runs)
 	oneRun := func(run int) {
-		fr := newFrame(lp, mach.CloneForRun(run), ctx, opts.MaxSteps)
+		fr := newFrame(ctx, lp, mach.CloneForRun(run), opts.MaxSteps)
 		if err := fr.exec(lp.body, fr.pcs[pcFree]); err != nil {
 			outs[run] = runOut{err: err}
 			return
@@ -165,7 +165,7 @@ type frame struct {
 	err     error // first run-time error raised inside an expression
 }
 
-func newFrame(p *program, mach *ipsc.Machine, ctx context.Context, maxSteps int64) *frame {
+func newFrame(ctx context.Context, p *program, mach *ipsc.Machine, maxSteps int64) *frame {
 	fr := &frame{
 		p: p, mach: mach, ctx: ctx, maxStep: maxSteps,
 		ints:   make([]int64, p.nints),
