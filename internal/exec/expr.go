@@ -230,14 +230,13 @@ func (l *lowerer) elem(x *hir.Elem) expr {
 	}
 	ref := l.elemRef(a, x.Subs)
 	info := &l.prog.arrays[a]
-	ai := a
 	load := func(fr *frame) float64 {
 		var b idxBuf
 		off, ok := ref.locate(fr, ref.buf(&b))
 		if !ok {
 			return 0
 		}
-		return fr.arrays[ai][off]
+		return fr.arrays[a][off]
 	}
 	if len(ref.subs) == 1 {
 		// One-dimensional fast path: the affine subscript and its bounds
@@ -249,7 +248,7 @@ func (l *lowerer) elem(x *hir.Elem) expr {
 				fr.failBounds(1, name, g, lo, hi)
 				return 0
 			}
-			return fr.arrays[ai][g-lo]
+			return fr.arrays[a][g-lo]
 		}
 	}
 	return loadAs(info.typ, load)
@@ -267,8 +266,9 @@ func loadAs(t ast.BaseType, load func(*frame) float64) expr {
 	return floatE(load)
 }
 
-// cmp3 orders two values as -1, 0 or 1 (0 for unordered NaN operands,
-// so NaN compares equal, as the executor always has).
+// cmp3 orders two values as -1, 0 or 1. Unordered NaN operands give 0,
+// so a NaN compares equal to everything; comparisons keep that
+// established semantics rather than IEEE's.
 func cmp3[T int64 | float64](a, b T) int {
 	switch {
 	case a < b:

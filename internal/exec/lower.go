@@ -765,8 +765,8 @@ func stripBytes(m *dist.ArrayMap, shape []int, elemBytes, dim, delta int) int {
 
 // neighbours returns, per rank, the rank one step along grid dimension
 // pd in direction dir: wrapped around when circular, else -1 past the
-// boundary; -1 also when the neighbour is the rank itself and selfNone.
-func (l *lowerer) neighbours(pd, dir int, circular, selfNone bool) []int {
+// boundary; -1 also when wrapping leads back to the rank itself.
+func (l *lowerer) neighbours(pd, dir int, circular bool) []int {
 	p := l.prog
 	out := make([]int, p.nodes)
 	c := make([]int, p.dims)
@@ -780,8 +780,7 @@ func (l *lowerer) neighbours(pd, dir int, circular, selfNone bool) []int {
 			out[r] = -1
 			continue
 		}
-		out[r] = p.rank(c)
-		if selfNone && out[r] == r {
+		if out[r] = p.rank(c); out[r] == r {
 			out[r] = -1
 		}
 	}
@@ -821,7 +820,7 @@ func (l *lowerer) shift(x *hir.Shift) func(*frame, []int) error {
 	for r := range strips {
 		strips[r] = stripBytes(m, shapes[r], sym.Type.Bytes(), x.Dim, x.Offset)
 	}
-	partners := l.neighbours(pd, dir, false, false)
+	partners := l.neighbours(pd, dir, false)
 	bytes := func(rank int) int { return strips[rank] }
 	partner := func(rank int) int { return partners[rank] }
 	return func(fr *frame, _ []int) error {
@@ -858,8 +857,8 @@ func (l *lowerer) cshift(dstName, srcName string, dim int, shiftE, boundary hir.
 	if exchange {
 		pd := m.Dims[dim].ProcDim
 		shapes = l.localShapes(m)
-		fwd = l.neighbours(pd, 1, circular, true)
-		back = l.neighbours(pd, -1, circular, true)
+		fwd = l.neighbours(pd, 1, circular)
+		back = l.neighbours(pd, -1, circular)
 	}
 	copyCycles := make([]float64, p.nodes)
 	M := l.mach.Node().M

@@ -278,7 +278,7 @@ func (fr *frame) computeOn(pc []int, cycles float64) {
 			pinned = false
 			break
 		}
-		rank = rank*p.shape[d] + c
+		rank += c * p.rankStride[d]
 	}
 	if pinned {
 		fr.mach.Compute(rank, cycles)
