@@ -223,22 +223,14 @@ func Predict(p *Program, opts *PredictOptions) (*Prediction, error) {
 // step) stops and returns the ctx error. This is what lets a
 // long-running service (cmd/hpfserve) honor per-request deadlines.
 func PredictContext(ctx context.Context, p *Program, opts *PredictOptions) (*Prediction, error) {
-	var machName string
-	if opts != nil {
-		machName = opts.Machine
-	}
-	mach, err := sysmodel.MachineByName(machName)
-	if err != nil {
-		return nil, err
-	}
-	ictx, span := obs.Start(ctx, "interp")
+	ctx, span := obs.Start(ctx, "interp")
 	defer span.End()
 	span.SetAttrInt("procs", p.Processors())
-	it, err := core.NewContext(ictx, p.hir, mach, opts.toCore())
+	cp, err := p.CompilePredictionContext(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := it.Interpret()
+	rep, err := cp.cp.Evaluate(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,6 @@
 // Closure-compiled prediction core (ROADMAP: "lower the AAG to a
-// compact prediction IR"). The tree-walking interpreter re-dispatches on
-// hir.Stmt types at every AAU for every sweep point; this file compiles
+// compact prediction IR"). The reference tree-walking interpreter
+// re-dispatches on hir.Stmt types at every AAU; this file compiles
 // the SAAG once per (program, machine, static options) into a tree of
 // cost thunks ("cnodes") whose statically determinable inputs — op
 // costs, loop triplets without scalar references, communication volumes,
@@ -8,10 +8,14 @@
 // evaluates pre-compiled closures against a tiny per-point state instead
 // of re-walking HIR.
 //
-// Evaluation is bit-identical to the tree walker by construction: every
-// floating-point accumulation the walker performs (per-AAU add order,
-// clock advance, by-line accumulation) is replayed in exactly the same
-// sequence, and the differential suite in equiv_test.go enforces it.
+// This is the only prediction path: traced and untraced requests run the
+// same closures and consult the subtree memo the same way; a traced one
+// also records the stage and interp.<kind> spans (DESIGN.md §11).
+// Evaluation is bit-identical to the reference tree walker
+// (InterpretTree) by construction: every floating-point accumulation the
+// walker performs (per-AAU add order, clock advance, by-line
+// accumulation) is replayed in exactly the same sequence, and the
+// differential suite in equiv_test.go enforces it.
 //
 // Incremental re-evaluation: EvaluateWith memoizes each top-level
 // subtree under a key formed from the resolved critical-variable values
@@ -26,7 +30,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -36,13 +39,10 @@ import (
 	"hpfperf/internal/faults"
 	"hpfperf/internal/hir"
 	"hpfperf/internal/ipsc"
+	"hpfperf/internal/obs"
 	"hpfperf/internal/sem"
 	"hpfperf/internal/sysmodel"
 )
-
-// treeWalkOnly forces the reference tree-walking interpreter for every
-// Interpret call (the differential-testing escape hatch).
-var treeWalkOnly = os.Getenv("HPFPERF_TREEWALK") == "1"
 
 // memoCap bounds the number of memoized subtree evaluations kept per
 // compiled program; traceCap bounds memoized definition-tracing runs.
@@ -72,12 +72,16 @@ type Compiled struct {
 }
 
 // cnode is one compiled AAU: a cost thunk plus the identifiers needed to
-// attribute its results.
+// attribute its results and name its span.
 type cnode struct {
 	id   int
 	line int
-	fn   func(st *evalState, mult float64) (Metrics, error)
+	kind Kind
+	fn   evalFn
 }
+
+// evalFn evaluates one compiled AAU at a multiplicity.
+type evalFn func(st *evalState, mult float64) (Metrics, error)
 
 // topMeta is the memoization interface of one top-level subtree: the
 // dynamic inputs that can change its evaluation between points.
@@ -132,7 +136,8 @@ type evalState struct {
 	clock    float64
 	stride   int
 
-	rec *[]memoOp // non-nil while recording a memoizable subtree
+	rec  *[]memoOp // non-nil while recording a memoizable subtree
+	span *obs.Span // current parent span; nil when untraced
 }
 
 // ---------------------------------------------------------------------------
@@ -142,13 +147,41 @@ type evalState struct {
 // for mach under opts. The returned Compiled can be evaluated repeatedly
 // (and concurrently) with varying critical-variable values and trip
 // counts; static options (memory model, load model, mask density, branch
-// probability, comm model, machine) are bound at compile time.
+// probability, comm model, machine) are bound at compile time. A traced
+// ctx records the work as core.compile, with calibrate and core.saag
+// children.
 func CompilePrediction(ctx context.Context, prog *hir.Program, mach *sysmodel.Machine, opts Options) (*Compiled, error) {
+	ctx, span := obs.Start(ctx, "core.compile")
+	defer span.End()
 	it, err := NewContext(ctx, prog, mach, opts)
 	if err != nil {
 		return nil, err
 	}
-	return compile(it)
+	it.costs = make(map[hir.Stmt]costParts)
+	it.prepass(it.prog.Body, 0)
+	gs := span.StartChild("core.saag")
+	tmpl := BuildSAAG(it.prog)
+	gs.End()
+	c := &Compiled{
+		prog:   it.prog,
+		mach:   it.mach,
+		lib:    it.lib,
+		opts:   it.opts,
+		costs:  it.costs,
+		tmpl:   tmpl,
+		traces: make(map[string]*analysis.Trace),
+		memo:   make(map[string]*memoEntry),
+	}
+	c.tmpl.Walk(func(a *AAU) {
+		if a.ID > c.maxID {
+			c.maxID = a.ID
+		}
+	})
+	c.tops = c.compileAAUs(c.tmpl.Root.Children)
+	for _, a := range c.tmpl.Root.Children {
+		c.meta = append(c.meta, subtreeMeta(a.Stmt))
+	}
+	return c, nil
 }
 
 // Evaluate runs the compiled prediction under the Values/TripCounts
@@ -173,31 +206,6 @@ func (c *Compiled) Program() string { return c.prog.Name }
 // ---------------------------------------------------------------------------
 // Compilation
 
-func compile(it *Interpreter) (*Compiled, error) {
-	it.costs = make(map[hir.Stmt]costParts)
-	it.prepass(it.prog.Body, 0)
-	c := &Compiled{
-		prog:   it.prog,
-		mach:   it.mach,
-		lib:    it.lib,
-		opts:   it.opts,
-		costs:  it.costs,
-		tmpl:   BuildSAAG(it.prog),
-		traces: make(map[string]*analysis.Trace),
-		memo:   make(map[string]*memoEntry),
-	}
-	c.tmpl.Walk(func(a *AAU) {
-		if a.ID > c.maxID {
-			c.maxID = a.ID
-		}
-	})
-	c.tops = c.compileAAUs(c.tmpl.Root.Children)
-	for _, a := range c.tmpl.Root.Children {
-		c.meta = append(c.meta, subtreeMeta(a.Stmt))
-	}
-	return c, nil
-}
-
 func (c *Compiled) compileAAUs(aaus []*AAU) []cnode {
 	out := make([]cnode, len(aaus))
 	for i, a := range aaus {
@@ -207,28 +215,34 @@ func (c *Compiled) compileAAUs(aaus []*AAU) []cnode {
 }
 
 func (c *Compiled) compileAAU(a *AAU) cnode {
+	n := cnode{id: a.ID, line: a.Line, kind: a.Kind}
 	switch a.Kind {
 	case Seq:
-		return c.compileSeq(a)
+		n.fn = c.compileSeq(a)
 	case Iter, IterD:
 		if _, ok := a.Stmt.(*hir.While); ok {
-			return c.compileWhile(a)
+			n.fn = c.compileWhile(a)
+		} else {
+			n.fn = c.compileLoop(a)
 		}
-		return c.compileLoop(a)
 	case Condt, CondtD:
-		return c.compileCondt(a)
+		n.fn = c.compileCondt(a)
 	case Comm:
-		return c.compileComm(a)
+		n.fn = c.compileComm(a)
 	case IO:
-		return c.compileIO(a)
+		n.fn = c.compileIO(a)
+	default:
+		n.fn = failFn(fmt.Errorf("core: cannot interpret AAU kind %s", a.Kind))
 	}
-	err := fmt.Errorf("core: cannot interpret AAU kind %s", a.Kind)
-	return cnode{id: a.ID, line: a.Line, fn: func(*evalState, float64) (Metrics, error) {
-		return Metrics{}, err
-	}}
+	return n
 }
 
-func (c *Compiled) compileSeq(a *AAU) cnode {
+// failFn is the thunk of an AAU the engine cannot interpret.
+func failFn(err error) evalFn {
+	return func(*evalState, float64) (Metrics, error) { return Metrics{}, err }
+}
+
+func (c *Compiled) compileSeq(a *AAU) evalFn {
 	x := a.Stmt.(*hir.Assign)
 	parts := c.costs[a.Stmt]
 	P := c.mach.Node.P
@@ -250,7 +264,7 @@ func (c *Compiled) compileSeq(a *AAU) cnode {
 		staticVal, staticKnown = evalScalar(rhs, nil)
 	}
 	id, line := a.ID, a.Line
-	return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
+	return func(st *evalState, mult float64) (Metrics, error) {
 		if lhs != "" && !st.pinned[lhs] {
 			if static {
 				if staticKnown {
@@ -265,16 +279,16 @@ func (c *Compiled) compileSeq(a *AAU) cnode {
 			}
 		}
 		return st.add(id, line, mult, base), nil
-	}}
+	}
 }
 
-func (c *Compiled) compileWhile(a *AAU) cnode {
+func (c *Compiled) compileWhile(a *AAU) evalFn {
 	w := a.Stmt.(*hir.While)
 	condParts := c.costs[a.Stmt]
 	children := c.compileAAUs(a.Children)
 	kills := killSet(w.Body)
 	id, line := a.ID, a.Line
-	return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
+	return func(st *evalState, mult float64) (Metrics, error) {
 		trips, ok := st.trips[line]
 		if !ok {
 			if wt := st.trace.Whiles[w]; wt != nil && wt.CondResolved && !wt.CondValue {
@@ -292,10 +306,10 @@ func (c *Compiled) compileWhile(a *AAU) cnode {
 		st.kill(kills)
 		self.Accumulate(body)
 		return self, nil
-	}}
+	}
 }
 
-func (c *Compiled) compileLoop(a *AAU) cnode {
+func (c *Compiled) compileLoop(a *AAU) evalFn {
 	x := a.Stmt.(*hir.Loop)
 	bound := c.costs[a.Stmt]
 	children := c.compileAAUs(a.Children)
@@ -316,7 +330,7 @@ func (c *Compiled) compileLoop(a *AAU) cnode {
 		sLo, sHi, sStep, sResolved = resolveTriplet(x, nil)
 	}
 	id, line := a.ID, a.Line
-	return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
+	return func(st *evalState, mult float64) (Metrics, error) {
 		var lo, hi, step int
 		var resolved bool
 		if static {
@@ -360,10 +374,10 @@ func (c *Compiled) compileLoop(a *AAU) cnode {
 		st.envDel(x.Var)
 		self.Accumulate(body)
 		return self, nil
-	}}
+	}
 }
 
-func (c *Compiled) compileCondt(a *AAU) cnode {
+func (c *Compiled) compileCondt(a *AAU) evalFn {
 	x := a.Stmt.(*hir.If)
 	parts := c.costs[a.Stmt]
 	P := c.mach.Node.P
@@ -384,7 +398,7 @@ func (c *Compiled) compileCondt(a *AAU) cnode {
 	}
 	warn := fmt.Sprintf("line %d: IF condition depends on run-time data; weighting branches %.2f/%.2f", a.Line, bp, 1-bp)
 	id, line := a.ID, a.Line
-	return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
+	return func(st *evalState, mult float64) (Metrics, error) {
 		self := st.add(id, line, mult, base)
 		if isD {
 			tm, err := st.run(then, mult*d)
@@ -431,10 +445,10 @@ func (c *Compiled) compileCondt(a *AAU) cnode {
 		self.Accumulate(tm)
 		self.Accumulate(em)
 		return self, nil
-	}}
+	}
 }
 
-func (c *Compiled) compileComm(a *AAU) cnode {
+func (c *Compiled) compileComm(a *AAU) evalFn {
 	recIdx := a.CommRec.ID - 1
 	simple := c.opts.SimpleCommModel
 	id, line := a.ID, a.Line
@@ -454,13 +468,13 @@ func (c *Compiled) compileComm(a *AAU) cnode {
 			bytes = float64(vol)
 			commUS = evalPW(simple, c.lib.Shift, vol)
 		}
-		return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
+		return func(st *evalState, mult float64) (Metrics, error) {
 			if warn != "" {
 				st.warnf(warn)
 			}
 			st.comm(recIdx, bytes, commUS, mult)
 			return st.add(id, line, mult, Metrics{CommUS: commUS, Execs: 1}), nil
-		}}
+		}
 	case *hir.CShift, *hir.EOShift:
 		var src string
 		var dim int
@@ -474,11 +488,11 @@ func (c *Compiled) compileComm(a *AAU) cnode {
 		sym := c.prog.Info.Sym(src)
 		if sym == nil {
 			warn := fmt.Sprintf("line %d: shift of unknown array %s ignored", line, src)
-			return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
+			return func(st *evalState, mult float64) (Metrics, error) {
 				st.warnf(warn)
 				st.comm(recIdx, 0, 0, mult)
 				return st.add(id, line, mult, Metrics{Execs: 1}), nil
-			}}
+			}
 		}
 		// Local data movement of the shifted copy is shift-independent.
 		M := c.mach.Node.M
@@ -509,15 +523,15 @@ func (c *Compiled) compileComm(a *AAU) cnode {
 				known = false
 			}
 			bytes, commUS := volFor(shift)
-			return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
+			return func(st *evalState, mult float64) (Metrics, error) {
 				if !known {
 					st.warnf(unresolvedWarn)
 				}
 				st.comm(recIdx, bytes, commUS, mult)
 				return st.add(id, line, mult, Metrics{CompUS: compUS, CommUS: commUS, Execs: 1}), nil
-			}}
+			}
 		}
-		return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
+		return func(st *evalState, mult float64) (Metrics, error) {
 			shift := 1
 			if v, ok := evalScalar(shiftE, st.env); ok {
 				shift = int(v.AsInt())
@@ -527,7 +541,7 @@ func (c *Compiled) compileComm(a *AAU) cnode {
 			bytes, commUS := volFor(shift)
 			st.comm(recIdx, bytes, commUS, mult)
 			return st.add(id, line, mult, Metrics{CompUS: compUS, CommUS: commUS, Execs: 1}), nil
-		}}
+		}
 	case *hir.Reduce:
 		b := 8
 		if x.LocSrc != "" {
@@ -535,35 +549,32 @@ func (c *Compiled) compileComm(a *AAU) cnode {
 		}
 		bytes := float64(b)
 		commUS := c.lib.Reduce.Eval(b)
-		return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
+		return func(st *evalState, mult float64) (Metrics, error) {
 			st.comm(recIdx, bytes, commUS, mult)
 			return st.add(id, line, mult, Metrics{CommUS: commUS, Execs: 1}), nil
-		}}
+		}
 	case *hir.AllGather:
 		sym := c.prog.Info.Sym(x.Array)
 		total := sym.Elems() * sym.Type.Bytes()
 		bytes := float64(total)
 		commUS := evalPW(simple, c.lib.Gather, total)
-		return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
+		return func(st *evalState, mult float64) (Metrics, error) {
 			st.comm(recIdx, bytes, commUS, mult)
 			return st.add(id, line, mult, Metrics{CommUS: commUS, Execs: 1}), nil
-		}}
+		}
 	case *hir.FetchElem:
 		bytes := float64(x.Typ.Bytes())
 		commUS := evalPW(simple, c.lib.Bcast, x.Typ.Bytes())
 		compUS := c.costs[a.Stmt].compUS
-		return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
+		return func(st *evalState, mult float64) (Metrics, error) {
 			st.comm(recIdx, bytes, commUS, mult)
 			return st.add(id, line, mult, Metrics{CompUS: compUS, CommUS: commUS, Execs: 1}), nil
-		}}
+		}
 	}
-	err := fmt.Errorf("core: cannot interpret Comm AAU for %T", a.Stmt)
-	return cnode{id: id, line: line, fn: func(*evalState, float64) (Metrics, error) {
-		return Metrics{}, err
-	}}
+	return failFn(fmt.Errorf("core: cannot interpret Comm AAU for %T", a.Stmt))
 }
 
-func (c *Compiled) compileIO(a *AAU) cnode {
+func (c *Compiled) compileIO(a *AAU) evalFn {
 	x := a.Stmt.(*hir.Print)
 	io := c.mach.Node.IO
 	parts := c.costs[a.Stmt]
@@ -571,10 +582,10 @@ func (c *Compiled) compileIO(a *AAU) cnode {
 	bytes := float64(16 * len(x.Args))
 	recIdx := a.CommRec.ID - 1
 	id, line := a.ID, a.Line
-	return cnode{id: id, line: line, fn: func(st *evalState, mult float64) (Metrics, error) {
+	return func(st *evalState, mult float64) (Metrics, error) {
 		st.comm(recIdx, bytes, commUS, mult)
 		return st.add(id, line, mult, Metrics{CompUS: parts.compUS, CommUS: commUS, Execs: 1}), nil
-	}}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -585,7 +596,8 @@ func (c *Compiled) evaluate(ctx context.Context, values map[string]sem.Value, tr
 	if err := faults.Fire(faults.SiteInterp); err != nil {
 		return nil, err
 	}
-	trace := c.traceFor(values)
+	span := obs.SpanFromContext(ctx)
+	trace := c.traceFor(span, values)
 	g, byID, recs := c.instantiate()
 	st := &evalState{
 		c:      c,
@@ -597,6 +609,7 @@ func (c *Compiled) evaluate(ctx context.Context, values map[string]sem.Value, tr
 		byID:   byID,
 		recs:   recs,
 		byLine: make(map[int]*Metrics),
+		span:   span,
 	}
 	for k, v := range values {
 		st.env[k] = v
@@ -646,8 +659,8 @@ func (c *Compiled) instantiate() (*SAAG, []*AAU, []*CommRec) {
 }
 
 // traceFor returns the (memoized) definition-tracing result for a pinned
-// value set.
-func (c *Compiled) traceFor(values map[string]sem.Value) *analysis.Trace {
+// value set; a miss runs the tracer under an analysis.trace child of span.
+func (c *Compiled) traceFor(span *obs.Span, values map[string]sem.Value) *analysis.Trace {
 	key := valuesFP(values)
 	c.mu.Lock()
 	if t, ok := c.traces[key]; ok {
@@ -655,7 +668,9 @@ func (c *Compiled) traceFor(values map[string]sem.Value) *analysis.Trace {
 		return t
 	}
 	c.mu.Unlock()
+	ts := span.StartChild("analysis.trace")
 	t := analysis.TraceProgram(c.prog, values)
+	ts.End()
 	c.mu.Lock()
 	if len(c.traces) >= traceCap {
 		c.traces = make(map[string]*analysis.Trace)
@@ -669,7 +684,8 @@ func (c *Compiled) traceFor(values map[string]sem.Value) *analysis.Trace {
 // memoize is set. Mirrors interpAAUs at the root level.
 func (st *evalState) runTop(memoize bool) (Metrics, error) {
 	var total Metrics
-	for i, n := range st.c.tops {
+	for i := range st.c.tops {
+		n := &st.c.tops[i]
 		if st.stride++; st.stride >= ctxCheckStride {
 			st.stride = 0
 			if err := st.ctx.Err(); err != nil {
@@ -684,18 +700,18 @@ func (st *evalState) runTop(memoize bool) (Metrics, error) {
 		if memoize {
 			key := st.c.memoKey(i, st)
 			if e := st.c.memoGet(key); e != nil {
-				m = st.replay(e)
+				m, err = st.call(n, 1, e)
 			} else {
 				var ops []memoOp
 				st.rec = &ops
-				m, err = n.fn(st, 1)
+				m, err = st.call(n, 1, nil)
 				st.rec = nil
 				if err == nil {
 					st.c.memoPut(key, &memoEntry{ops: ops, total: m})
 				}
 			}
 		} else {
-			m, err = n.fn(st, 1)
+			m, err = st.call(n, 1, nil)
 		}
 		if err != nil {
 			return total, err
@@ -710,7 +726,8 @@ func (st *evalState) runTop(memoize bool) (Metrics, error) {
 // checks, per-child clock stamps, metric accumulation.
 func (st *evalState) run(ns []cnode, mult float64) (Metrics, error) {
 	var total Metrics
-	for _, n := range ns {
+	for i := range ns {
+		n := &ns[i]
 		if st.stride++; st.stride >= ctxCheckStride {
 			st.stride = 0
 			if err := st.ctx.Err(); err != nil {
@@ -720,7 +737,7 @@ func (st *evalState) run(ns []cnode, mult float64) (Metrics, error) {
 				return total, err
 			}
 		}
-		m, err := n.fn(st, mult)
+		m, err := st.call(n, mult, nil)
 		if err != nil {
 			return total, err
 		}
@@ -728,6 +745,36 @@ func (st *evalState) run(ns []cnode, mult float64) (Metrics, error) {
 		total.Accumulate(m)
 	}
 	return total, nil
+}
+
+// call evaluates one compiled AAU, inside an interp.<kind> span when the
+// evaluation is traced. A non-nil e is a memoized evaluation of n to
+// replay instead; its span is marked replay=true.
+func (st *evalState) call(n *cnode, mult float64, e *memoEntry) (Metrics, error) {
+	parent := st.span
+	if parent == nil {
+		return st.eval(n, mult, e)
+	}
+	s := parent.StartChild("interp." + n.kind.String())
+	if n.line > 0 {
+		s.SetAttrInt("line", n.line)
+	}
+	if e != nil {
+		s.SetAttr("replay", "true")
+	}
+	st.span = s
+	m, err := st.eval(n, mult, e)
+	s.End()
+	st.span = parent
+	return m, err
+}
+
+// eval runs n's closures, or replays e when non-nil.
+func (st *evalState) eval(n *cnode, mult float64, e *memoEntry) (Metrics, error) {
+	if e != nil {
+		return st.replay(e), nil
+	}
+	return n.fn(st, mult)
 }
 
 // add mirrors Interpreter.add: scale by multiplicity, accumulate into

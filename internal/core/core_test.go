@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"hpfperf/internal/compiler"
 	"hpfperf/internal/exec"
+	"hpfperf/internal/hir"
 	"hpfperf/internal/ipsc"
 	"hpfperf/internal/sem"
 )
@@ -18,15 +20,21 @@ func interpret(t *testing.T, src string, opts Options) *Report {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	it, err := New(prog, nil, opts)
-	if err != nil {
-		t.Fatalf("new: %v", err)
-	}
-	rep, err := it.Interpret()
+	rep, err := predict(prog, opts)
 	if err != nil {
 		t.Fatalf("interpret: %v", err)
 	}
 	return rep
+}
+
+// predict runs the production prediction path: CompilePrediction, then
+// Evaluate.
+func predict(prog *hir.Program, opts Options) (*Report, error) {
+	c, err := CompilePrediction(context.Background(), prog, nil, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c.Evaluate(context.Background())
 }
 
 // measure runs the program on the deterministic simulator.
@@ -230,11 +238,7 @@ END`
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := New(prog, nil, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = it.Interpret()
+	_, err = predict(prog, DefaultOptions())
 	if err == nil {
 		t.Fatal("want unresolved-bounds error, got nil")
 	}
@@ -265,11 +269,7 @@ END`
 	}
 	opts := DefaultOptions()
 	opts.Values = map[string]sem.Value{"M": sem.IntVal(10)}
-	it, err := New(prog, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := it.Interpret()
+	rep, err := predict(prog, opts)
 	if err != nil {
 		t.Fatalf("interpret with user value: %v", err)
 	}
@@ -291,14 +291,12 @@ END`
 		t.Fatal(err)
 	}
 	// Without a trip count the while loop is an unresolved critical value.
-	it, _ := New(prog, nil, DefaultOptions())
-	if _, err := it.Interpret(); err == nil {
+	if _, err := predict(prog, DefaultOptions()); err == nil {
 		t.Error("want error without trip count")
 	}
 	opts := DefaultOptions()
 	opts.TripCounts = map[int]int{4: 7}
-	it2, _ := New(prog, nil, opts)
-	rep, err := it2.Interpret()
+	rep, err := predict(prog, opts)
 	if err != nil {
 		t.Fatalf("with trip count: %v", err)
 	}

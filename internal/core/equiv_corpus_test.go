@@ -19,7 +19,7 @@ import (
 	"hpfperf/internal/corpus"
 )
 
-// TestEquivCorpusPrograms asserts InterpretTree and Interpret produce
+// TestEquivCorpusPrograms asserts InterpretTree and Compiled.Evaluate produce
 // byte-identical reports for generator output across seeds and families.
 func TestEquivCorpusPrograms(t *testing.T) {
 	seeds := []int64{1, 42}
@@ -45,11 +45,11 @@ func TestEquivCorpusPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: tree walker: %v", p.Name, err)
 			}
-			itComp, err := core.NewContext(context.Background(), prog, nil, opts)
+			cp, err := core.CompilePrediction(context.Background(), prog, nil, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", p.Name, err)
 			}
-			compRep, err := itComp.Interpret()
+			compRep, err := cp.Evaluate(context.Background())
 			if err != nil {
 				t.Fatalf("%s: compiled closures: %v", p.Name, err)
 			}

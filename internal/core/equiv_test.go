@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"hpfperf/internal/compiler"
+	"hpfperf/internal/obs"
 	"hpfperf/internal/sem"
 	"hpfperf/internal/suite"
 )
@@ -20,14 +21,16 @@ import (
 // tree-walking interpreter produces, across every program we can get our
 // hands on (testdata, the paper's validation suite, the fuzz corpora,
 // randomized control-flow programs) and across repeated memoized
-// evaluations. InterpretTree is the flagged reference implementation;
-// Interpret takes the compiled path.
+// evaluations. InterpretTree is the reference implementation;
+// CompilePrediction + Evaluate is the production path.
 
 // diffOne asserts tree-walking and compiled interpretation of src agree
 // exactly — same report or same error — and reports whether the pair
 // actually ran. Sources that do not compile are skipped (fuzz corpora
-// contain plenty).
-func diffOne(t *testing.T, name, src string, opts Options) bool {
+// contain plenty). With traced set, the compiled form is also built and
+// evaluated under a live tracer: that result must match too, and its
+// span tree must be well formed.
+func diffOne(t *testing.T, name, src string, opts Options, traced bool) bool {
 	t.Helper()
 	prog, err := compiler.Compile(src)
 	if err != nil {
@@ -39,25 +42,95 @@ func diffOne(t *testing.T, name, src string, opts Options) bool {
 	}
 	treeRep, treeErr := itTree.InterpretTree()
 
-	itComp, err := New(prog, nil, opts)
-	if err != nil {
-		t.Fatalf("%s: second New failed where first succeeded: %v", name, err)
-	}
-	compRep, compErr := itComp.Interpret()
-
-	if (treeErr == nil) != (compErr == nil) {
-		t.Fatalf("%s: error divergence: tree=%v compiled=%v", name, treeErr, compErr)
-	}
-	if treeErr != nil {
-		if treeErr.Error() != compErr.Error() {
-			t.Fatalf("%s: error text divergence:\n tree:     %v\n compiled: %v", name, treeErr, compErr)
+	compRep, compErr := predict(prog, opts)
+	sameResult(t, name+" compiled", treeRep, treeErr, compRep, compErr)
+	if traced {
+		tracer := obs.NewTracer(obs.NewTraceID())
+		root := tracer.Root("equiv")
+		ctx := obs.ContextWithSpan(context.Background(), root)
+		c, err := CompilePrediction(ctx, prog, nil, opts)
+		if err != nil {
+			t.Fatalf("%s: traced CompilePrediction: %v", name, err)
 		}
-		return true
-	}
-	if d := DiffReports(treeRep, compRep); d != "" {
-		t.Fatalf("%s: report divergence: %s", name, d)
+		tracedRep, tracedErr := c.Evaluate(ctx)
+		root.End()
+		sameResult(t, name+" traced", compRep, compErr, tracedRep, tracedErr)
+		sameResult(t, name+" traced", treeRep, treeErr, tracedRep, tracedErr)
+		checkPredictionSpans(t, name, tracer.Tree(), tracedRep)
 	}
 	return true
+}
+
+// sameResult asserts two interpretations agree exactly: the same report,
+// or the same error text.
+func sameResult(t *testing.T, name string, want *Report, wantErr error, got *Report, gotErr error) {
+	t.Helper()
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: error divergence: want %v, got %v", name, wantErr, gotErr)
+	}
+	if wantErr != nil {
+		if wantErr.Error() != gotErr.Error() {
+			t.Fatalf("%s: error text divergence:\n want: %v\n got:  %v", name, wantErr, gotErr)
+		}
+		return
+	}
+	if d := DiffReports(want, got); d != "" {
+		t.Fatalf("%s: report divergence: %s", name, d)
+	}
+}
+
+// checkPredictionSpans asserts the span tree of one traced compile +
+// evaluate is well formed: no orphans, every child inside its parent's
+// window, the compile stages present, and — when the evaluation
+// succeeded — one top-level interp.<kind> span per top-level AAU, each
+// naming its AAU kind.
+func checkPredictionSpans(t *testing.T, name string, tree *obs.Tree, rep *Report) {
+	t.Helper()
+	if tree.Orphans != 0 {
+		t.Fatalf("%s: %d orphan spans", name, tree.Orphans)
+	}
+	kinds := make(map[string]bool)
+	for k := Root; k <= IO; k++ {
+		kinds["interp."+k.String()] = true
+	}
+	seen := make(map[string]int)
+	walked := 0
+	tree.Root.Walk(func(_ int, n *obs.Node) {
+		walked++
+		seen[n.Name]++
+		if strings.HasPrefix(n.Name, "interp.") && !kinds[n.Name] {
+			t.Errorf("%s: span %q names no AAU kind", name, n.Name)
+		}
+		end := n.StartUS + n.DurUS*1.01 + 1
+		for _, c := range n.Children {
+			if c.DurUS < 0 || c.StartUS+1 < n.StartUS || c.StartUS+c.DurUS > end {
+				t.Errorf("%s: span %s escapes parent %s", name, c.Name, n.Name)
+			}
+		}
+	})
+	if walked != tree.Spans {
+		t.Fatalf("%s: tree holds %d of %d spans", name, walked, tree.Spans)
+	}
+	for _, stage := range []string{"core.compile", "core.saag"} {
+		if seen[stage] != 1 {
+			t.Errorf("%s: %d %s spans, want 1", name, seen[stage], stage)
+		}
+	}
+	if rep == nil {
+		return
+	}
+	if seen["analysis.trace"] != 1 {
+		t.Errorf("%s: %d analysis.trace spans, want 1", name, seen["analysis.trace"])
+	}
+	top := 0
+	for _, n := range tree.Root.Children {
+		if strings.HasPrefix(n.Name, "interp.") {
+			top++
+		}
+	}
+	if want := len(rep.SAAG.Root.Children); top != want {
+		t.Errorf("%s: %d top-level interp spans, want one per top-level AAU (%d)", name, top, want)
+	}
 }
 
 // equivOptionVariants are the interpretation configurations every
@@ -103,7 +176,7 @@ func TestEquivTestdataPrograms(t *testing.T) {
 			t.Fatal(err)
 		}
 		for vn, opts := range variants {
-			if diffOne(t, filepath.Base(f)+"/"+vn, string(b), opts) {
+			if diffOne(t, filepath.Base(f)+"/"+vn, string(b), opts, true) {
 				ran++
 			}
 		}
@@ -122,7 +195,7 @@ func TestEquivSuitePrograms(t *testing.T) {
 			for _, np := range procs {
 				src := p.Source(n, np)
 				for vn, opts := range variants {
-					diffOne(t, fmt.Sprintf("%s/n%d/p%d/%s", p.Name, n, np, vn), src, opts)
+					diffOne(t, fmt.Sprintf("%s/n%d/p%d/%s", p.Name, n, np, vn), src, opts, false)
 				}
 			}
 		}
@@ -150,7 +223,7 @@ func TestEquivFuzzCorpus(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			diffOne(t, filepath.Base(f), src, DefaultOptions())
+			diffOne(t, filepath.Base(f), src, DefaultOptions(), false)
 		}
 	}
 }
@@ -217,7 +290,7 @@ func TestEquivRandomPrograms(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		src := randomControlProgram(rng, trial)
 		for vn, opts := range variants {
-			if diffOne(t, fmt.Sprintf("chaos%d/%s", trial, vn), src, opts) {
+			if diffOne(t, fmt.Sprintf("chaos%d/%s", trial, vn), src, opts, false) {
 				ran++
 			}
 		}
@@ -228,7 +301,7 @@ func TestEquivRandomPrograms(t *testing.T) {
 	// The straight-line cross-validation generator, too.
 	for trial := 0; trial < trials; trial++ {
 		src, _ := randomScalarProgram(rng, 1000+trial)
-		diffOne(t, fmt.Sprintf("scalar%d", trial), src, DefaultOptions())
+		diffOne(t, fmt.Sprintf("scalar%d", trial), src, DefaultOptions(), false)
 	}
 }
 

@@ -152,12 +152,8 @@ type Interpreter struct {
 	// environment cannot resolve them, before demanding Options.Values.
 	trace *analysis.Trace
 
-	ctx       context.Context // cooperative cancellation for Interpret
+	ctx       context.Context // cooperative cancellation for InterpretTree
 	ctxStride int             // AAU interpretations since the last ctx check
-
-	// span is the context's obs span, cached once at construction: when
-	// tracing is off it is nil and each AAU pays one nil check.
-	span *obs.Span
 }
 
 // New builds an interpreter for a compiled program on the given machine
@@ -166,9 +162,9 @@ func New(prog *hir.Program, mach *sysmodel.Machine, opts Options) (*Interpreter,
 	return NewContext(context.Background(), prog, mach, opts)
 }
 
-// NewContext builds an interpreter whose calibration step and Interpret
-// run honor ctx: once ctx ends, interpretation stops at the next AAU
-// boundary and returns the ctx error instead of a report.
+// NewContext builds an interpreter whose calibration step and
+// InterpretTree run honor ctx: once ctx ends, interpretation stops at the
+// next AAU boundary and returns the ctx error instead of a report.
 func NewContext(ctx context.Context, prog *hir.Program, mach *sysmodel.Machine, opts Options) (*Interpreter, error) {
 	if mach == nil {
 		mach = sysmodel.IPSC860()
@@ -183,10 +179,9 @@ func NewContext(ctx context.Context, prog *hir.Program, mach *sysmodel.Machine, 
 	if procs > mach.MaxNodes {
 		return nil, fmt.Errorf("core: program needs %d processors, %s has %d", procs, mach.Name, mach.MaxNodes)
 	}
-	span := obs.SpanFromContext(ctx)
 	lib := opts.CommLibrary
 	if lib == nil {
-		cs := span.StartChild("calibrate")
+		cs := obs.SpanFromContext(ctx).StartChild("calibrate")
 		cs.SetAttrInt("procs", procs)
 		var err error
 		lib, err = calibratedLib(ctx, mach, procs)
@@ -199,7 +194,7 @@ func NewContext(ctx context.Context, prog *hir.Program, mach *sysmodel.Machine, 
 	for k := range opts.Values {
 		pinned[k] = true
 	}
-	return &Interpreter{prog: prog, mach: mach, lib: lib, opts: opts, pinned: pinned, ctx: ctx, span: span}, nil
+	return &Interpreter{prog: prog, mach: mach, lib: lib, opts: opts, pinned: pinned, ctx: ctx}, nil
 }
 
 // calibCache memoizes machine calibration: CalibrateMachineContext is
@@ -228,26 +223,12 @@ func calibratedLib(ctx context.Context, mach *sysmodel.Machine, procs int) (*ips
 	return lib, nil
 }
 
-// Interpret runs the interpretation over the SAAG and returns the
-// predicted performance report. The hot path compiles the program to the
-// closure-based prediction form (see compile.go) and evaluates it; the
-// reference tree-walking interpreter is used when per-AAU tracing is
-// active (the compiled form does not emit interp.<kind> spans) or when
-// HPFPERF_TREEWALK=1 forces it.
-func (it *Interpreter) Interpret() (*Report, error) {
-	if it.span != nil || treeWalkOnly {
-		return it.InterpretTree()
-	}
-	c, err := compile(it)
-	if err != nil {
-		return nil, err
-	}
-	return c.evaluate(it.ctx, it.opts.Values, it.opts.TripCounts, false)
-}
-
 // InterpretTree runs the reference tree-walking interpretation algorithm
-// over the SAAG. It is the semantic baseline the compiled form is
-// differentially tested against, and the path taken under tracing.
+// over the SAAG. It is the reference implementation only: predictions
+// are served by CompilePrediction and Compiled.Evaluate, traced or not,
+// and this walker exists so the differential suites (the core
+// equivalence tests, the sweep cache test and the corpus harness's
+// tree≡compiled gate) can check the compiled form against it bit for bit.
 func (it *Interpreter) InterpretTree() (*Report, error) {
 	// Chaos hook at entry, so the interp site is reachable even for
 	// programs too small to hit the per-stride hook below.
@@ -500,29 +481,6 @@ func (it *Interpreter) interpAAUs(aaus []*AAU, env absEnv, mult float64) (Metric
 }
 
 func (it *Interpreter) interpAAU(a *AAU, env absEnv, mult float64) (Metrics, error) {
-	if it.span != nil {
-		return it.interpAAUTraced(a, env, mult)
-	}
-	return it.interpAAUKind(a, env, mult)
-}
-
-// interpAAUTraced wraps one AAU interpretation in an interp.<kind> span.
-// The current span is swapped so nested AAUs parent correctly, then
-// restored: the interpreter is single-goroutine so a plain field works.
-func (it *Interpreter) interpAAUTraced(a *AAU, env absEnv, mult float64) (Metrics, error) {
-	parent := it.span
-	s := parent.StartChild("interp." + a.Kind.String())
-	if a.Line > 0 {
-		s.SetAttrInt("line", a.Line)
-	}
-	it.span = s
-	m, err := it.interpAAUKind(a, env, mult)
-	s.End()
-	it.span = parent
-	return m, err
-}
-
-func (it *Interpreter) interpAAUKind(a *AAU, env absEnv, mult float64) (Metrics, error) {
 	switch a.Kind {
 	case Seq:
 		return it.interpSeq(a, env, mult), nil
@@ -584,7 +542,7 @@ func (it *Interpreter) interpIter(a *AAU, env absEnv, mult float64) (Metrics, er
 	}
 
 	x := a.Stmt.(*hir.Loop)
-	lo, hi, step, resolved := it.resolveTriplet(x, env)
+	lo, hi, step, resolved := resolveTriplet(x, env)
 	if !resolved {
 		// Fall back to the definition-tracing result: the fixpoint
 		// analysis resolves bounds the one-pass inline environment loses
@@ -598,16 +556,16 @@ func (it *Interpreter) interpIter(a *AAU, env absEnv, mult float64) (Metrics, er
 		if t, ok := it.opts.TripCounts[a.Line]; ok {
 			trips, localTrips = float64(t), float64(t)
 			if x.Par != nil {
-				localTrips = it.partitionTrips(x.Par, 1, t, 1)
+				localTrips = partitionTrips(it.prog.Info.ArrayMap(x.Par.Array), x.Par, it.opts.LoadModel, 1, t, 1)
 			}
 		} else {
-			return Metrics{}, it.loopBoundsErr(a.Line, x, env)
+			return Metrics{}, loopBoundsErr(it.trace, a.Line, x, env)
 		}
 	} else {
 		trips = float64(countTrips(lo, hi, step))
 		localTrips = trips
 		if x.Par != nil {
-			localTrips = it.partitionTrips(x.Par, lo, hi, step)
+			localTrips = partitionTrips(it.prog.Info.ArrayMap(x.Par.Array), x.Par, it.opts.LoadModel, lo, hi, step)
 		}
 	}
 
@@ -638,10 +596,6 @@ func (it *Interpreter) interpIter(a *AAU, env absEnv, mult float64) (Metrics, er
 }
 
 // resolveTriplet resolves loop bounds through the abstract environment.
-func (it *Interpreter) resolveTriplet(x *hir.Loop, env absEnv) (lo, hi, step int, ok bool) {
-	return resolveTriplet(x, env)
-}
-
 func resolveTriplet(x *hir.Loop, env absEnv) (lo, hi, step int, ok bool) {
 	lv, ok1 := evalScalar(x.Lo, env)
 	hv, ok2 := evalScalar(x.Hi, env)
@@ -671,10 +625,6 @@ func countTrips(lo, hi, step int) int {
 
 // partitionTrips returns the per-processor iteration share of a
 // partitioned loop under the configured load model.
-func (it *Interpreter) partitionTrips(par *hir.ParSpec, lo, hi, step int) float64 {
-	return partitionTrips(it.prog.Info.ArrayMap(par.Array), par, it.opts.LoadModel, lo, hi, step)
-}
-
 func partitionTrips(m *dist.ArrayMap, par *hir.ParSpec, load LoadModel, lo, hi, step int) float64 {
 	if m == nil || m.Replicated {
 		return float64(countTrips(lo, hi, step))
@@ -693,10 +643,6 @@ func partitionTrips(m *dist.ArrayMap, par *hir.ParSpec, load LoadModel, lo, hi, 
 // loopBoundsErr builds the last-resort unresolved-bounds error. When the
 // tracer recorded blocking definitions it names each one with its source
 // line; otherwise it falls back to listing the unresolved variables.
-func (it *Interpreter) loopBoundsErr(line int, x *hir.Loop, env absEnv) error {
-	return loopBoundsErr(it.trace, line, x, env)
-}
-
 func loopBoundsErr(tr *analysis.Trace, line int, x *hir.Loop, env absEnv) error {
 	if bs := tr.LoopBlockers(x); len(bs) > 0 {
 		parts := make([]string, len(bs))
@@ -794,10 +740,6 @@ func (it *Interpreter) interpCondt(a *AAU, env absEnv, mult float64) (Metrics, e
 
 // evalPW evaluates a piecewise collective model, optionally degraded to
 // its long-message segment only (the SimpleCommModel ablation).
-func (it *Interpreter) evalPW(p ipsc.Piecewise, n int) float64 {
-	return evalPW(it.opts.SimpleCommModel, p, n)
-}
-
 func evalPW(simple bool, p ipsc.Piecewise, n int) float64 {
 	if simple {
 		return p.Long.Eval(n)
@@ -825,10 +767,6 @@ func (it *Interpreter) killAssigned(ss []hir.Stmt, env absEnv) {
 }
 
 // stripBytesMax returns the worst per-node halo volume of a shift.
-func (it *Interpreter) stripBytesMax(m *dist.ArrayMap, elemBytes, dim, delta int) int {
-	return stripBytesMax(m, elemBytes, dim, delta)
-}
-
 func stripBytesMax(m *dist.ArrayMap, elemBytes, dim, delta int) int {
 	if delta < 0 {
 		delta = -delta
@@ -865,9 +803,9 @@ func (it *Interpreter) interpComm(a *AAU, env absEnv, mult float64) Metrics {
 		case sym.Map != nil && (x.Dim < 0 || x.Dim >= len(sym.Map.Dims)):
 			it.warnf("line %d: shift of %s along invalid dimension %d ignored", a.Line, x.Array, x.Dim)
 		case sym.Map != nil && !sym.Map.Replicated && sym.Map.Dims[x.Dim].NProc > 1:
-			vol := it.stripBytesMax(sym.Map, sym.Type.Bytes(), x.Dim, x.Offset)
+			vol := stripBytesMax(sym.Map, sym.Type.Bytes(), x.Dim, x.Offset)
 			bytes = float64(vol)
-			commUS = it.evalPW(it.lib.Shift, vol)
+			commUS = evalPW(it.opts.SimpleCommModel, it.lib.Shift, vol)
 		}
 	case *hir.CShift, *hir.EOShift:
 		var src string
@@ -891,9 +829,9 @@ func (it *Interpreter) interpComm(a *AAU, env absEnv, mult float64) Metrics {
 			it.warnf("line %d: shift amount unresolved; assuming 1", a.Line)
 		}
 		if sym.Map != nil && !sym.Map.Replicated && dim < len(sym.Map.Dims) && sym.Map.Dims[dim].NProc > 1 {
-			vol := it.stripBytesMax(sym.Map, sym.Type.Bytes(), dim, shift)
+			vol := stripBytesMax(sym.Map, sym.Type.Bytes(), dim, shift)
 			bytes = float64(vol)
-			commUS = it.evalPW(it.lib.Shift, vol)
+			commUS = evalPW(it.opts.SimpleCommModel, it.lib.Shift, vol)
 		}
 		// Local data movement of the shifted copy.
 		M := it.mach.Node.M
@@ -913,10 +851,10 @@ func (it *Interpreter) interpComm(a *AAU, env absEnv, mult float64) Metrics {
 		sym := it.prog.Info.Sym(x.Array)
 		total := sym.Elems() * sym.Type.Bytes()
 		bytes = float64(total)
-		commUS = it.evalPW(it.lib.Gather, total)
+		commUS = evalPW(it.opts.SimpleCommModel, it.lib.Gather, total)
 	case *hir.FetchElem:
 		bytes = float64(x.Typ.Bytes())
-		commUS = it.evalPW(it.lib.Bcast, x.Typ.Bytes())
+		commUS = evalPW(it.opts.SimpleCommModel, it.lib.Bcast, x.Typ.Bytes())
 		parts := it.costs[a.Stmt]
 		compUS += parts.compUS
 	}

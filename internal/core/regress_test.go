@@ -113,11 +113,7 @@ func TestShiftMalformedDimWarns(t *testing.T) {
 	}
 	shifts[0].Dim = 7 // out of range for a 1-D map
 
-	it, err := New(prog, nil, DefaultOptions())
-	if err != nil {
-		t.Fatalf("new: %v", err)
-	}
-	rep, err := it.Interpret()
+	rep, err := predict(prog, DefaultOptions())
 	if err != nil {
 		t.Fatalf("interpret: %v", err)
 	}
@@ -145,11 +141,7 @@ func TestShiftUnknownArrayWarns(t *testing.T) {
 	}
 	shifts[0].Array = "NOSUCHARRAY"
 
-	it, err := New(prog, nil, DefaultOptions())
-	if err != nil {
-		t.Fatalf("new: %v", err)
-	}
-	rep, err := it.Interpret()
+	rep, err := predict(prog, DefaultOptions())
 	if err != nil {
 		t.Fatalf("interpret: %v", err)
 	}

@@ -103,12 +103,12 @@ func ValidateOne(ctx context.Context, eng *sweep.Engine, pr Program) Verdict {
 		v.Err = fmt.Sprintf("interp(tree): %v", err)
 		return v
 	}
-	itComp, err := core.NewContext(ctx, prog, nil, opts)
+	cp, err := core.CompilePrediction(ctx, prog, nil, opts)
 	if err != nil {
 		v.Err = fmt.Sprintf("interp: %v", err)
 		return v
 	}
-	compRep, err := itComp.Interpret()
+	compRep, err := cp.Evaluate(ctx)
 	if err != nil {
 		v.Err = fmt.Sprintf("interp(compiled): %v", err)
 		return v

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hpfperf/internal/compiler"
@@ -44,11 +45,11 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		it, err := core.New(prog, nil, opts)
+		cp, err := core.CompilePrediction(context.Background(), prog, nil, opts)
 		if err != nil {
 			return 0, 0, err
 		}
-		rep, err := it.Interpret()
+		rep, err := cp.Evaluate(context.Background())
 		if err != nil {
 			return 0, 0, err
 		}

@@ -18,8 +18,13 @@
 //	compile          phase-1 compilation; children parse, sem, comm-insert
 //	partition        directive resolution inside sem
 //	analyze          static-analysis passes
+//	interp           one prediction (compiled form, traced or not)
+//	core.compile     closure lowering; children calibrate, core.saag
 //	calibrate        off-line collective calibration
-//	interp           one interpretation run; children interp.<aau-kind>
+//	core.saag        SAAG build
+//	analysis.trace   definition tracer (memo miss only)
+//	interp.<kind>    one AAU evaluation (attr line; replay=true when a
+//	                 top-level subtree is served from the memo)
 //	exec.vm          simulated execution
 //	sweep.point      one point of a parallel sweep
 package obs

@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -56,11 +57,11 @@ func TestAllProgramsCompileAndRun(t *testing.T) {
 				if err != nil {
 					t.Fatalf("procs=%d: compile: %v\nsource:\n%s", procs, err, src)
 				}
-				it, err := core.New(prog, nil, core.DefaultOptions())
+				cp, err := core.CompilePrediction(context.Background(), prog, nil, core.DefaultOptions())
 				if err != nil {
 					t.Fatalf("procs=%d: interpreter: %v", procs, err)
 				}
-				rep, err := it.Interpret()
+				rep, err := cp.Evaluate(context.Background())
 				if err != nil {
 					t.Fatalf("procs=%d: interpret: %v", procs, err)
 				}

@@ -502,20 +502,17 @@ func buildPredict(ctx context.Context, prog *hir.Program, iopts core.Options, ma
 
 // Interpret returns the interpretation report for (src, copts, iopts)
 // on the named machine abstraction ("" = iPSC/860 default), memoizing
-// whole reports when the options are fingerprintable. Compilation
-// always goes through the compile cache, and report misses evaluate the
-// cached compiled prediction form instead of tree-walking (traced
-// requests keep the tree-walker so the interp.<kind> span structure
-// survives). The builder honors ctx: a report whose construction was
+// whole reports when the options are fingerprintable. Every report,
+// traced or not, is an evaluation of the compiled prediction form
+// (CompiledPrediction); the tree-walking interpreter is the reference
+// implementation only and never serves a request. A traced request gets
+// the interp span with its interp.<kind> children from the same
+// evaluation. The builder honors ctx: a report whose construction was
 // cancelled is dropped from the cache so a later request rebuilds it.
 func (c *Cache) Interpret(ctx context.Context, src string, copts compiler.Options, iopts core.Options, machine string, stats *Stats) (*core.Report, error) {
 	fp, cacheable := interpFingerprint(iopts)
 	if !cacheable {
-		prog, err := c.Compile(ctx, src, copts, stats)
-		if err != nil {
-			return nil, err
-		}
-		return runInterp(ctx, prog, iopts, machine, stats)
+		return c.predict(ctx, src, copts, iopts, machine, stats)
 	}
 
 	key := compileKey(src, copts) + "|mach=" + machine + "|" + fp
@@ -549,28 +546,7 @@ func (c *Cache) Interpret(ctx context.Context, src string, copts compiler.Option
 		if e.err = faults.Fire(faults.SiteCache); e.err != nil {
 			return
 		}
-		var prog *hir.Program
-		prog, e.err = c.Compile(ctx, src, copts, stats)
-		if e.err != nil {
-			return
-		}
-		if obs.SpanFromContext(ctx) != nil {
-			// A traced request wants the interp.<kind> span tree, which
-			// only the tree-walking interpreter emits.
-			e.rep, e.err = runInterp(ctx, prog, iopts, machine, stats)
-			return
-		}
-		var cp *core.Compiled
-		cp, e.err = c.CompiledPrediction(ctx, src, copts, iopts, machine, stats)
-		if e.err != nil {
-			return
-		}
-		start := time.Now()
-		e.rep, e.err = cp.EvaluateWith(ctx, iopts.Values, iopts.TripCounts)
-		if stats != nil {
-			stats.Interps.Add(1)
-			stats.InterpNS.Add(int64(time.Since(start)))
-		}
+		e.rep, e.err = c.predict(ctx, src, copts, iopts, machine, stats)
 	}()
 	if poisoned(e.err) {
 		// A cancelled, panicked or fault-injected build is the attempt's
@@ -581,29 +557,30 @@ func (c *Cache) Interpret(ctx context.Context, src string, copts compiler.Option
 	return e.rep, e.err
 }
 
-func runInterp(ctx context.Context, prog *hir.Program, iopts core.Options, machine string, stats *Stats) (rep *core.Report, err error) {
+// predict evaluates the compiled prediction form of (src, copts, iopts)
+// under an interp span. A cached form is evaluated incrementally through
+// EvaluateWith, so its subtree memo serves every caller; a private form
+// (uncacheable options) is evaluated once with Evaluate.
+func (c *Cache) predict(ctx context.Context, src string, copts compiler.Options, iopts core.Options, machine string, stats *Stats) (rep *core.Report, err error) {
 	defer recoverToErr("interpret", &err)
-	var mach *sysmodel.Machine
-	if machine != "" {
-		mach, err = sysmodel.MachineByName(machine)
-		if err != nil {
-			return nil, err
-		}
-	}
-	ictx, span := obs.Start(ctx, "interp")
+	ctx, span := obs.Start(ctx, "interp")
 	defer span.End()
-	start := time.Now()
-	it, err := core.NewContext(ictx, prog, mach, iopts)
+	cp, err := c.CompiledPrediction(ctx, src, copts, iopts, machine, stats)
 	if err != nil {
 		return nil, err
 	}
-	rep, err = it.Interpret()
-	if rep != nil {
-		span.SetAttrInt("procs", rep.Procs)
+	start := time.Now()
+	if _, cacheable := predictFingerprint(iopts); cacheable {
+		rep, err = cp.EvaluateWith(ctx, iopts.Values, iopts.TripCounts)
+	} else {
+		rep, err = cp.Evaluate(ctx)
 	}
 	if stats != nil {
 		stats.Interps.Add(1)
 		stats.InterpNS.Add(int64(time.Since(start)))
+	}
+	if rep != nil {
+		span.SetAttrInt("procs", rep.Procs)
 	}
 	return rep, err
 }

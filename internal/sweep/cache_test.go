@@ -11,6 +11,7 @@ import (
 	"hpfperf/internal/compiler"
 	"hpfperf/internal/core"
 	"hpfperf/internal/ipsc"
+	"hpfperf/internal/obs"
 )
 
 // tinySource generates a distinct-but-valid program per n so churn tests
@@ -396,4 +397,71 @@ func TestCacheInterpretMatchesTreeWalk(t *testing.T) {
 	if rep.Total != ref.Total || rep.TotalUS() != ref.TotalUS() {
 		t.Errorf("cached compiled report diverges: %+v vs tree-walk %+v", rep.Total, ref.Total)
 	}
+}
+
+// TestTracedInterpretUsesCompiledForm pins the one-engine rule: a traced
+// report miss is served by the compiled prediction form, exactly like an
+// untraced one, and only the span tree tells the two apart.
+func TestTracedInterpretUsesCompiledForm(t *testing.T) {
+	c := NewCacheSize(8)
+	var stats Stats
+	src := tinySource(9)
+	opts := core.DefaultOptions()
+
+	tracer := obs.NewTracer(obs.NewTraceID())
+	root := tracer.Root("test")
+	rep, err := c.Interpret(obs.ContextWithSpan(context.Background(), root), src, compiler.Options{}, opts, "", &stats)
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.PredictMisses.Load(); got != 1 {
+		t.Fatalf("traced report miss built %d compiled forms, want 1", got)
+	}
+	cp, err := c.CompiledPrediction(context.Background(), src, compiler.Options{}, opts, "", &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.PredictHits.Load(); got != 1 {
+		t.Fatalf("untraced CompiledPrediction after the traced miss: %d hits, want 1", got)
+	}
+	if n := spanCount(tracer.Tree(), "interp.", ""); n == 0 {
+		t.Fatal("traced report miss recorded no interp.<kind> spans")
+	}
+
+	ref, err := NewCacheSize(8).Interpret(context.Background(), src, compiler.Options{}, opts, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := core.DiffReports(ref, rep); d != "" {
+		t.Fatalf("traced report diverges from untraced: %s", d)
+	}
+
+	// The cached form's memo already holds every top-level subtree, so a
+	// second traced evaluation replays them.
+	tracer = obs.NewTracer(obs.NewTraceID())
+	root = tracer.Root("again")
+	again, err := cp.EvaluateWith(obs.ContextWithSpan(context.Background(), root), opts.Values, opts.TripCounts)
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := core.DiffReports(ref, again); d != "" {
+		t.Fatalf("replayed report diverges from untraced: %s", d)
+	}
+	if n := spanCount(tracer.Tree(), "interp.", "true"); n == 0 {
+		t.Fatal("second traced EvaluateWith recorded no replay-marked interp.<kind> span")
+	}
+}
+
+// spanCount counts the spans whose name starts with prefix and, when
+// replay is non-empty, whose replay attribute equals it.
+func spanCount(tree *obs.Tree, prefix, replay string) int {
+	n := 0
+	tree.Root.Walk(func(_ int, s *obs.Node) {
+		if strings.HasPrefix(s.Name, prefix) && (replay == "" || s.Attrs["replay"] == replay) {
+			n++
+		}
+	})
+	return n
 }

@@ -18,8 +18,10 @@ type Stats struct {
 	// CompileHits / CompileMisses count compile-cache lookups.
 	CompileHits   atomic.Int64
 	CompileMisses atomic.Int64
-	// Interps counts interpretation runs (tree-walked or compiled-form
-	// evaluations) that actually executed.
+	// Interps counts interpretation runs that actually executed: each
+	// is an evaluation of the compiled prediction form (the tree-walking
+	// interpreter is the reference implementation only and never runs
+	// here).
 	Interps atomic.Int64
 	// PredictHits / PredictMisses count compiled-prediction-form cache
 	// lookups.
@@ -59,25 +61,25 @@ type Stats struct {
 
 // Snapshot is a consistent copy of the counters plus derived rates.
 type Snapshot struct {
-	Compiles      int64
-	CompileHits   int64
-	CompileMisses int64
-	Interps       int64
-	PredictHits   int64
-	PredictMisses int64
-	ReportHits    int64
-	ReportMisses  int64
-	Execs         int64
-	ExecHits      int64
-	ExecMisses    int64
+	Compiles        int64
+	CompileHits     int64
+	CompileMisses   int64
+	Interps         int64
+	PredictHits     int64
+	PredictMisses   int64
+	ReportHits      int64
+	ReportMisses    int64
+	Execs           int64
+	ExecHits        int64
+	ExecMisses      int64
 	Points          int64
 	Retries         int64
 	PointPanics     int64
 	CheckpointSkips int64
 	CompileTime     time.Duration
-	InterpTime    time.Duration
-	ExecTime      time.Duration
-	WallTime      time.Duration
+	InterpTime      time.Duration
+	ExecTime        time.Duration
+	WallTime        time.Duration
 	// PointsPerSec is Points divided by the wall time spent in Map
 	// (0 when no Map ran).
 	PointsPerSec float64
@@ -86,25 +88,25 @@ type Snapshot struct {
 // Snapshot returns a copy of the current counters with derived rates.
 func (s *Stats) Snapshot() Snapshot {
 	snap := Snapshot{
-		Compiles:      s.Compiles.Load(),
-		CompileHits:   s.CompileHits.Load(),
-		CompileMisses: s.CompileMisses.Load(),
-		Interps:       s.Interps.Load(),
-		PredictHits:   s.PredictHits.Load(),
-		PredictMisses: s.PredictMisses.Load(),
-		ReportHits:    s.ReportHits.Load(),
-		ReportMisses:  s.ReportMisses.Load(),
-		Execs:         s.Execs.Load(),
-		ExecHits:      s.ExecHits.Load(),
-		ExecMisses:    s.ExecMisses.Load(),
+		Compiles:        s.Compiles.Load(),
+		CompileHits:     s.CompileHits.Load(),
+		CompileMisses:   s.CompileMisses.Load(),
+		Interps:         s.Interps.Load(),
+		PredictHits:     s.PredictHits.Load(),
+		PredictMisses:   s.PredictMisses.Load(),
+		ReportHits:      s.ReportHits.Load(),
+		ReportMisses:    s.ReportMisses.Load(),
+		Execs:           s.Execs.Load(),
+		ExecHits:        s.ExecHits.Load(),
+		ExecMisses:      s.ExecMisses.Load(),
 		Points:          s.Points.Load(),
 		Retries:         s.Retries.Load(),
 		PointPanics:     s.PointPanics.Load(),
 		CheckpointSkips: s.CheckpointSkips.Load(),
 		CompileTime:     time.Duration(s.CompileNS.Load()),
-		InterpTime:    time.Duration(s.InterpNS.Load()),
-		ExecTime:      time.Duration(s.ExecNS.Load()),
-		WallTime:      time.Duration(s.WallNS.Load()),
+		InterpTime:      time.Duration(s.InterpNS.Load()),
+		ExecTime:        time.Duration(s.ExecNS.Load()),
+		WallTime:        time.Duration(s.WallNS.Load()),
 	}
 	if secs := snap.WallTime.Seconds(); secs > 0 {
 		snap.PointsPerSec = float64(snap.Points) / secs

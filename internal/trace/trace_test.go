@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -27,11 +28,11 @@ END`
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := core.New(prog, nil, core.DefaultOptions())
+	cp, err := core.CompilePrediction(context.Background(), prog, nil, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := it.Interpret()
+	rep, err := cp.Evaluate(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
