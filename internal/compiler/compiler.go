@@ -58,7 +58,12 @@ func compileNoOpt(ctx context.Context, src string, opts Options) (*hir.Program, 
 	// and insertion (steps 3-5), so it carries the comm-insert span.
 	_, ls := obs.Start(ctx, "comm-insert")
 	defer ls.End()
-	return LowerWith(info, opts)
+	out, err := LowerWith(info, opts)
+	// The per-expression type and shape maps only serve sem and the
+	// lowering; a compiled program can stay cached for the life of a
+	// server, so it does not keep them.
+	info.Types, info.Shapes = nil, nil
+	return out, err
 }
 
 // Lower translates an analyzed program into the SPMD node program with

@@ -78,6 +78,19 @@ REAL A(N), B(N), C(N)
 !HPF$ DISTRIBUTE T(BLOCK) ONTO P
 `
 
+// TestCompiledProgramDropsTypeMaps: a compiled program can be cached for
+// the life of a server, so it must not keep sem's per-expression type
+// and shape maps, which only the lowering reads.
+func TestCompiledProgramDropsTypeMaps(t *testing.T) {
+	p := compile(t, hdr1D+"A = B + C\nEND")
+	if p.Info.Types != nil || p.Info.Shapes != nil {
+		t.Errorf("compiled program keeps %d types and %d shapes", len(p.Info.Types), len(p.Info.Shapes))
+	}
+	if p.Info.Prog == nil || p.Info.Symbols["A"] == nil {
+		t.Error("compiled program lost its AST or symbols")
+	}
+}
+
 func TestAlignedElementwiseNoComm(t *testing.T) {
 	p := compile(t, hdr1D+"A = B + C\nEND")
 	if n := countKind[*hir.Shift](p); n != 0 {

@@ -23,7 +23,9 @@
 // write set, trip-count overrides and traced bounds of its loops). When
 // only inputs that feed other subtrees change between sweep points, the
 // untouched subtrees replay a recorded op log — the same adds in the
-// same order — rather than re-evaluating their closures.
+// same order — rather than re-evaluating their closures. Recording starts
+// with a form's second evaluation: a form evaluated once never pays for
+// op logs it would not replay.
 package core
 
 import (
@@ -33,6 +35,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"hpfperf/internal/analysis"
 	"hpfperf/internal/dist"
@@ -65,6 +68,11 @@ type Compiled struct {
 	maxID int
 	tops  []cnode
 	meta  []topMeta
+
+	// evals counts evaluations started. The subtree memo is consulted
+	// and recorded only from a form's second evaluation on, so a form
+	// that is evaluated once (a report-cache miss) keeps no op logs.
+	evals atomic.Int64
 
 	mu     sync.Mutex
 	traces map[string]*analysis.Trace
@@ -192,9 +200,19 @@ func (c *Compiled) Evaluate(ctx context.Context) (*Report, error) {
 
 // EvaluateWith re-evaluates the prediction under new critical-variable
 // values and trip counts, reusing memoized subtree evaluations whose
-// resolved inputs are unchanged (the incremental-sweep path).
+// resolved inputs are unchanged (the incremental-sweep path). The memo
+// is recorded only once the form is being reused: the first evaluation
+// of a form, by Evaluate or EvaluateWith, records nothing, the second
+// records, and later ones replay what matches.
 func (c *Compiled) EvaluateWith(ctx context.Context, values map[string]sem.Value, trips map[int]int) (*Report, error) {
 	return c.evaluate(ctx, values, trips, true)
+}
+
+// MemoEntries reports how many subtree evaluations the memo holds.
+func (c *Compiled) MemoEntries() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.memo)
 }
 
 // Procs returns the processor-grid size the program was compiled for.
@@ -595,6 +613,9 @@ func (c *Compiled) evaluate(ctx context.Context, values map[string]sem.Value, tr
 	// Chaos hook at entry, matching the tree walker.
 	if err := faults.Fire(faults.SiteInterp); err != nil {
 		return nil, err
+	}
+	if c.evals.Add(1) == 1 {
+		memoize = false
 	}
 	span := obs.SpanFromContext(ctx)
 	trace := c.traceFor(span, values)

@@ -12,6 +12,7 @@ import (
 	"hpfperf/internal/hir"
 	"hpfperf/internal/ipsc"
 	"hpfperf/internal/sem"
+	"hpfperf/internal/sysmodel"
 )
 
 func interpret(t *testing.T, src string, opts Options) *Report {
@@ -93,6 +94,22 @@ func TestSAAGStructure(t *testing.T) {
 	}
 	if len(g.Table) < 1 {
 		t.Error("communication table empty")
+	}
+}
+
+// TestDefaultMachineIsShared: a form compiled for the default machine
+// points at the shared iPSC/860 model instead of owning a copy.
+func TestDefaultMachineIsShared(t *testing.T) {
+	prog, err := compiler.Compile(piSrc(64, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := CompilePrediction(context.Background(), prog, nil, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.mach != sysmodel.SharedIPSC860() {
+		t.Error("CompilePrediction with a nil machine built its own model")
 	}
 }
 

@@ -369,6 +369,60 @@ func TestEquivIncrementalMemo(t *testing.T) {
 	}
 }
 
+// TestMemoRecordsFromSecondEvaluation pins when the subtree memo is
+// paid for: a form's first evaluation records nothing, the second
+// records every top-level subtree, and the third replays them. Every
+// report must match a fresh tree-walking run bit for bit.
+func TestMemoRecordsFromSecondEvaluation(t *testing.T) {
+	prog, err := compiler.Compile(incrementalSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := CompilePrediction(context.Background(), prog, nil, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := map[string]sem.Value{"N": sem.IntVal(5), "M": sem.IntVal(6)}
+	opts := DefaultOptions()
+	opts.Values = values
+	itTree, err := New(prog, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := itTree.InterpretTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, wantEntries := range []int{0, len(c.tops), len(c.tops)} {
+		tracer := obs.NewTracer(obs.NewTraceID())
+		root := tracer.Root("eval")
+		got, err := c.EvaluateWith(obs.ContextWithSpan(context.Background(), root), values, nil)
+		root.End()
+		if err != nil {
+			t.Fatalf("evaluation %d: %v", i+1, err)
+		}
+		if d := DiffReports(want, got); d != "" {
+			t.Fatalf("evaluation %d: %s", i+1, d)
+		}
+		if n := c.MemoEntries(); n != wantEntries {
+			t.Errorf("after evaluation %d the memo holds %d entries, want %d", i+1, n, wantEntries)
+		}
+		replays := 0
+		tracer.Tree().Root.Walk(func(_ int, n *obs.Node) {
+			if n.Attrs["replay"] == "true" {
+				replays++
+			}
+		})
+		wantReplays := 0
+		if i == 2 {
+			wantReplays = len(c.tops)
+		}
+		if replays != wantReplays {
+			t.Errorf("evaluation %d replayed %d subtrees, want %d", i+1, replays, wantReplays)
+		}
+	}
+}
+
 // TestEquivConcurrentEvaluate exercises concurrent memoized evaluations
 // of one Compiled (the sweep engine's sharing pattern) under -race.
 func TestEquivConcurrentEvaluate(t *testing.T) {

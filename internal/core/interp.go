@@ -167,7 +167,7 @@ func New(prog *hir.Program, mach *sysmodel.Machine, opts Options) (*Interpreter,
 // next AAU boundary and returns the ctx error instead of a report.
 func NewContext(ctx context.Context, prog *hir.Program, mach *sysmodel.Machine, opts Options) (*Interpreter, error) {
 	if mach == nil {
-		mach = sysmodel.IPSC860()
+		mach = sysmodel.SharedIPSC860()
 	}
 	if opts.MaskDensity <= 0 {
 		opts.MaskDensity = 1.0

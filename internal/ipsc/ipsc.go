@@ -53,7 +53,7 @@ type Config struct {
 func DefaultConfig(n int) Config {
 	return Config{
 		Nodes:      n,
-		Base:       sysmodel.IPSC860(),
+		Base:       sysmodel.SharedIPSC860(),
 		CacheModel: true,
 		PerturbAmp: 0.01,
 		TimerResUS: 2.0,
@@ -85,7 +85,7 @@ type Stats struct {
 // New builds a simulated machine.
 func New(cfg Config) (*Machine, error) {
 	if cfg.Base == nil {
-		cfg.Base = sysmodel.IPSC860()
+		cfg.Base = sysmodel.SharedIPSC860()
 	}
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("ipsc: need at least one node, got %d", cfg.Nodes)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"hpfperf/internal/sysmodel"
 )
 
 func quiet(n int) *Machine {
@@ -26,6 +28,18 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Nodes: 8}); err != nil {
 		t.Errorf("8 nodes should work: %v", err)
+	}
+}
+
+// TestDefaultBaseIsShared: the simulator's default machine is the shared
+// iPSC/860 model, not a private copy per configuration.
+func TestDefaultBaseIsShared(t *testing.T) {
+	shared := sysmodel.SharedIPSC860()
+	if DefaultConfig(4).Base != shared {
+		t.Error("DefaultConfig builds its own machine model")
+	}
+	if m, err := New(Config{Nodes: 4}); err != nil || m.Node() != shared.Node {
+		t.Errorf("New with a nil Base does not use the shared model (%v)", err)
 	}
 }
 

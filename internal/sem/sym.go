@@ -168,6 +168,8 @@ type Info struct {
 	// distribution (bounds from the TEMPLATE directive).
 	Templates map[string][]dist.DimDist
 	// Types holds the resolved type of every analyzed expression.
+	// Compilation consumes it and Types and Shapes are nil on the Info
+	// of a compiled program (hir.Program.Info).
 	Types map[ast.Expr]ast.BaseType
 	// Shapes holds the shape of array-valued expressions (nil = scalar).
 	Shapes map[ast.Expr]*Shape

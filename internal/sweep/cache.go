@@ -220,6 +220,17 @@ func interpFingerprint(opts core.Options) (string, bool) {
 	return b.String(), true
 }
 
+// machineKey is the cache-key spelling of a machine name: its canonical
+// name, so "", "ipsc860" and "IPSC860" share one entry of each kind. A
+// name that does not resolve keys as given; building it fails and the
+// error is cached under that spelling.
+func machineKey(name string) string {
+	if k, err := sysmodel.CanonicalName(name); err == nil {
+		return k
+	}
+	return name
+}
+
 // touch moves an LRU element to the front (caller holds c.mu).
 func touch(lru *list.List, elem *list.Element) {
 	if elem != nil {
@@ -444,7 +455,7 @@ func (c *Cache) CompiledPrediction(ctx context.Context, src string, copts compil
 		return buildPredict(ctx, prog, iopts, machine)
 	}
 
-	key := compileKey(src, copts) + "|mach=" + machine + "|" + fp
+	key := compileKey(src, copts) + "|mach=" + machineKey(machine) + "|" + fp
 	c.mu.Lock()
 	if e, ok := c.predicts[key]; ok {
 		touch(c.predictLRU, e.elem)
@@ -490,12 +501,9 @@ func (c *Cache) CompiledPrediction(ctx context.Context, src string, copts compil
 // prediction form (one calibration + SAAG build + closure compilation).
 func buildPredict(ctx context.Context, prog *hir.Program, iopts core.Options, machine string) (cp *core.Compiled, err error) {
 	defer recoverToErr("predict", &err)
-	var mach *sysmodel.Machine
-	if machine != "" {
-		mach, err = sysmodel.MachineByName(machine)
-		if err != nil {
-			return nil, err
-		}
+	mach, err := sysmodel.MachineByName(machine)
+	if err != nil {
+		return nil, err
 	}
 	return core.CompilePrediction(ctx, prog, mach, iopts)
 }
@@ -515,7 +523,7 @@ func (c *Cache) Interpret(ctx context.Context, src string, copts compiler.Option
 		return c.predict(ctx, src, copts, iopts, machine, stats)
 	}
 
-	key := compileKey(src, copts) + "|mach=" + machine + "|" + fp
+	key := compileKey(src, copts) + "|mach=" + machineKey(machine) + "|" + fp
 	c.mu.Lock()
 	if e, ok := c.reports[key]; ok {
 		touch(c.reportLRU, e.elem)
@@ -559,8 +567,9 @@ func (c *Cache) Interpret(ctx context.Context, src string, copts compiler.Option
 
 // predict evaluates the compiled prediction form of (src, copts, iopts)
 // under an interp span. A cached form is evaluated incrementally through
-// EvaluateWith, so its subtree memo serves every caller; a private form
-// (uncacheable options) is evaluated once with Evaluate.
+// EvaluateWith, so once the form is reused its subtree memo serves every
+// caller; a private form (uncacheable options) is evaluated once with
+// Evaluate.
 func (c *Cache) predict(ctx context.Context, src string, copts compiler.Options, iopts core.Options, machine string, stats *Stats) (rep *core.Report, err error) {
 	defer recoverToErr("interpret", &err)
 	ctx, span := obs.Start(ctx, "interp")
@@ -637,6 +646,7 @@ func (c *Cache) Measure(ctx context.Context, src string, copts compiler.Options,
 	if spec.Runs <= 0 {
 		spec.Runs = 1 // normalize before keying so runs=0 and runs=1 share
 	}
+	spec.Machine = machineKey(spec.Machine)
 	key := compileKey(src, copts) + "|" + spec.fingerprint()
 	c.mu.Lock()
 	if e, ok := c.measures[key]; ok {
@@ -687,14 +697,12 @@ func runExec(ctx context.Context, prog *hir.Program, spec MeasureSpec, stats *St
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg := ipsc.DefaultConfig(prog.Info.Grid.Size())
-	if spec.Machine != "" {
-		base, err := sysmodel.MachineByName(spec.Machine)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Base = base
+	base, err := sysmodel.MachineByName(spec.Machine)
+	if err != nil {
+		return nil, err
 	}
+	cfg := ipsc.DefaultConfig(prog.Info.Grid.Size())
+	cfg.Base = base
 	cfg.PerturbAmp = spec.PerturbAmp
 	cfg.TimerResUS = spec.TimerResUS
 	cfg.Seed = spec.Seed

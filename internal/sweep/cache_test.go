@@ -10,6 +10,7 @@ import (
 
 	"hpfperf/internal/compiler"
 	"hpfperf/internal/core"
+	"hpfperf/internal/exec"
 	"hpfperf/internal/ipsc"
 	"hpfperf/internal/obs"
 )
@@ -236,6 +237,47 @@ func TestInterpretMachineKeyedSeparately(t *testing.T) {
 	}
 }
 
+// TestMachineSpellingsShareEntries keys every artifact by the canonical
+// machine name: "", "ipsc860" and "IPSC860" name one machine, so they
+// share one compiled form, one report and one measurement.
+func TestMachineSpellingsShareEntries(t *testing.T) {
+	c := NewCacheSize(8)
+	var stats Stats
+	src := tinySource(6)
+	ctx := context.Background()
+	var forms []*core.Compiled
+	var reps []*core.Report
+	var results []*exec.Result
+	for _, mach := range []string{"", "ipsc860", "IPSC860"} {
+		cp, err := c.CompiledPrediction(ctx, src, compiler.Options{}, core.DefaultOptions(), mach, &stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := c.Interpret(ctx, src, compiler.Options{}, core.DefaultOptions(), mach, &stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := DefaultMeasureSpec(1, 0)
+		spec.Machine = mach
+		res, err := c.Measure(ctx, src, compiler.Options{}, spec, &stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forms, reps, results = append(forms, cp), append(reps, rep), append(results, res)
+	}
+	for i := 1; i < 3; i++ {
+		if forms[i] != forms[0] || reps[i] != reps[0] || results[i] != results[0] {
+			t.Errorf("spelling %d built its own artifacts", i)
+		}
+	}
+	if p, r, m := stats.PredictMisses.Load(), stats.ReportMisses.Load(), stats.ExecMisses.Load(); p != 1 || r != 1 || m != 1 {
+		t.Errorf("misses: predict %d, report %d, exec %d; want 1 each", p, r, m)
+	}
+	if cs := c.CacheStats(); cs.PredictEntries != 1 || cs.ReportEntries != 1 || cs.MeasureEntries != 1 {
+		t.Errorf("entries: %+v, want one form, report and measurement", cs)
+	}
+}
+
 func TestInterpFingerprintUncacheableCommLibrary(t *testing.T) {
 	opts := core.DefaultOptions()
 	if _, ok := interpFingerprint(opts); !ok {
@@ -437,8 +479,18 @@ func TestTracedInterpretUsesCompiledForm(t *testing.T) {
 		t.Fatalf("traced report diverges from untraced: %s", d)
 	}
 
-	// The cached form's memo already holds every top-level subtree, so a
-	// second traced evaluation replays them.
+	// The miss was the form's first evaluation, which records no memo.
+	// The next evaluation records it and the one after that replays.
+	if n := cp.MemoEntries(); n != 0 {
+		t.Fatalf("report miss left %d memo entries, want 0", n)
+	}
+	second, err := cp.EvaluateWith(context.Background(), opts.Values, opts.TripCounts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := core.DiffReports(ref, second); d != "" {
+		t.Fatalf("recording report diverges from untraced: %s", d)
+	}
 	tracer = obs.NewTracer(obs.NewTraceID())
 	root = tracer.Root("again")
 	again, err := cp.EvaluateWith(obs.ContextWithSpan(context.Background(), root), opts.Values, opts.TripCounts)
@@ -450,7 +502,7 @@ func TestTracedInterpretUsesCompiledForm(t *testing.T) {
 		t.Fatalf("replayed report diverges from untraced: %s", d)
 	}
 	if n := spanCount(tracer.Tree(), "interp.", "true"); n == 0 {
-		t.Fatal("second traced EvaluateWith recorded no replay-marked interp.<kind> span")
+		t.Fatal("third evaluation recorded no replay-marked interp.<kind> span")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // ParagonXPS builds the system abstraction of an Intel Paragon XP/S-like
@@ -104,36 +105,102 @@ func MachineNames() []string {
 	return names
 }
 
-// MachineByName builds a registered machine abstraction
-// (case-insensitive; "" defaults to the iPSC/860). A ":n" suffix selects
-// a larger configuration of the machine, e.g. "ipsc860:32" for a 32-node
-// cube (the iPSC/860 shipped up to 128 nodes; the paper's testbed had 8).
-func MachineByName(name string) (*Machine, error) {
-	if name == "" {
-		return IPSC860(), nil
+// sharedCap bounds the shared-model registry. Only the node count of a
+// name is open-ended ("paragon:n" accepts any n > 0), so without a bound
+// a long-running server would keep one model per count it was ever
+// asked for; past the cap, MachineByName builds unshared models.
+const sharedCap = 64
+
+// shared holds the one model per canonical name that MachineByName hands
+// out. Errors are never stored, so a bad name fails on every call.
+var shared = struct {
+	sync.Mutex
+	m map[string]*Machine
+}{m: make(map[string]*Machine)}
+
+// CanonicalName resolves a machine name to the form MachineByName keys
+// its shared models by: lower-cased, "" naming the iPSC/860, and a ":n"
+// suffix rewritten as its decimal node count. Names that differ only in
+// spelling ("", "ipsc860", "IPSC860") map to one canonical name. An
+// unknown machine or a malformed node count is an error.
+func CanonicalName(name string) (string, error) {
+	key, _, _, err := parseName(name)
+	return key, err
+}
+
+// parseName resolves a machine name to its canonical name, its
+// registered base name and its node count (0 = the machine's default
+// size).
+func parseName(name string) (key, base string, nodes int, err error) {
+	base = strings.ToLower(name)
+	if base == "" {
+		base = "ipsc860"
 	}
-	base := strings.ToLower(name)
-	nodes := 0
 	if i := strings.IndexByte(base, ':'); i >= 0 {
 		if _, err := fmt.Sscanf(base[i+1:], "%d", &nodes); err != nil || nodes <= 0 {
-			return nil, fmt.Errorf("sysmodel: bad node count in %q", name)
+			return "", "", 0, fmt.Errorf("sysmodel: bad node count in %q", name)
 		}
 		base = base[:i]
 	}
-	b, ok := machineBuilders[base]
-	if !ok {
-		return nil, fmt.Errorf("sysmodel: unknown machine %q (have %s)", name, strings.Join(MachineNames(), ", "))
+	if _, ok := machineBuilders[base]; !ok {
+		return "", "", 0, fmt.Errorf("sysmodel: unknown machine %q (have %s)", name, strings.Join(MachineNames(), ", "))
 	}
-	m := b()
+	key = base
 	if nodes > 0 {
-		if base == "ipsc860" {
-			sized, err := IPSC860Sized(nodes)
-			if err != nil {
-				return nil, err
-			}
-			return sized, nil
-		}
+		key = fmt.Sprintf("%s:%d", base, nodes)
+	}
+	return key, base, nodes, nil
+}
+
+// MachineByName returns the registered machine abstraction
+// (case-insensitive; "" defaults to the iPSC/860). A ":n" suffix selects
+// a larger configuration of the machine, e.g. "ipsc860:32" for a 32-node
+// cube (the iPSC/860 shipped up to 128 nodes; the paper's testbed had 8).
+//
+// The model is characterized once per canonical name (CanonicalName) and
+// shared by every caller, as the paper characterizes each SAU off-line
+// once: callers must treat it, and everything it points to, as
+// read-only. Build a private copy with IPSC860 or ParagonXPS to vary
+// parameters.
+func MachineByName(name string) (*Machine, error) {
+	key, base, nodes, err := parseName(name)
+	if err != nil {
+		return nil, err
+	}
+	shared.Lock()
+	defer shared.Unlock()
+	if m := shared.m[key]; m != nil {
+		return m, nil
+	}
+	m, err := buildMachine(base, nodes)
+	if err != nil {
+		return nil, err
+	}
+	if len(shared.m) < sharedCap {
+		shared.m[key] = m
+	}
+	return m, nil
+}
+
+// buildMachine characterizes a fresh model of a registered machine.
+func buildMachine(base string, nodes int) (*Machine, error) {
+	if nodes > 0 && base == "ipsc860" {
+		return IPSC860Sized(nodes)
+	}
+	m := machineBuilders[base]()
+	if nodes > 0 {
 		m.MaxNodes = nodes
 	}
 	return m, nil
+}
+
+// SharedIPSC860 returns the shared, read-only iPSC/860 model that
+// MachineByName("") serves: the default machine of the interpreter and
+// the simulator.
+func SharedIPSC860() *Machine {
+	m, err := MachineByName("")
+	if err != nil {
+		panic(err) // the iPSC/860 is always registered
+	}
+	return m
 }
