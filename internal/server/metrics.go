@@ -245,7 +245,6 @@ func (m *metrics) render(b *strings.Builder, snap sweep.Snapshot, cs sweep.Cache
 	fmt.Fprintf(b, "# HELP sweep_cache_entries Live entries in the bounded LRU cache.\n")
 	fmt.Fprintf(b, "# TYPE sweep_cache_entries gauge\n")
 	fmt.Fprintf(b, "sweep_cache_entries{kind=\"compile\"} %d\n", cs.CompileEntries)
-	fmt.Fprintf(b, "sweep_cache_entries{kind=\"predict\"} %d\n", cs.PredictEntries)
 	fmt.Fprintf(b, "sweep_cache_entries{kind=\"report\"} %d\n", cs.ReportEntries)
 	fmt.Fprintf(b, "sweep_cache_entries{kind=\"exec\"} %d\n", cs.MeasureEntries)
 	fmt.Fprintf(b, "# HELP sweep_cache_capacity_entries Per-kind LRU capacity.\n")
@@ -254,7 +253,6 @@ func (m *metrics) render(b *strings.Builder, snap sweep.Snapshot, cs sweep.Cache
 	fmt.Fprintf(b, "# HELP sweep_cache_evictions_total LRU evictions by kind.\n")
 	fmt.Fprintf(b, "# TYPE sweep_cache_evictions_total counter\n")
 	fmt.Fprintf(b, "sweep_cache_evictions_total{kind=\"compile\"} %d\n", cs.CompileEvictions)
-	fmt.Fprintf(b, "sweep_cache_evictions_total{kind=\"predict\"} %d\n", cs.PredictEvictions)
 	fmt.Fprintf(b, "sweep_cache_evictions_total{kind=\"report\"} %d\n", cs.ReportEvictions)
 	fmt.Fprintf(b, "sweep_cache_evictions_total{kind=\"exec\"} %d\n", cs.MeasureEvictions)
 }

@@ -23,11 +23,11 @@ import (
 	"hpfperf/internal/sysmodel"
 )
 
-// DefaultCacheEntries bounds each of the cache's two maps (compiled
-// programs and interpretation reports) when no explicit capacity is
-// given. The bound keeps a long-running process (hpfserve) from growing
-// without limit while still holding every artifact of a full experiment
-// reproduction.
+// DefaultCacheEntries bounds each of the cache's three maps (compiled
+// programs, interpretation reports and simulated-execution results) when
+// no explicit capacity is given. The bound keeps a long-running process
+// (hpfserve) from growing without limit while still holding every
+// artifact of a full experiment reproduction.
 const DefaultCacheEntries = 4096
 
 // Cache memoizes the results of the compilation pipeline (and of whole
@@ -39,40 +39,31 @@ const DefaultCacheEntries = 4096
 // context, so a cancelled request stops waiting without disturbing the
 // build.
 //
-// Four artifact kinds are cached, one bounded map each: compiled
-// programs (*hir.Program), closure-compiled prediction forms
-// (*core.Compiled, keyed by the static interpretation options only, so
+// Three artifact kinds are cached, one bounded map each: compiled
+// programs (*hir.Program), whole interpretation reports (*core.Report),
+// and simulated-execution results (*exec.Result — the simulator is
+// deterministic for a fixed MeasureSpec, which is what makes
+// measurement memoizable at all). Each compiled program also owns the
+// closure-compiled prediction form (*core.Compiled) of its most recent
+// static key (canonical machine plus the static interpretation options):
 // one form serves every Values/TripCounts combination through its
-// incremental EvaluateWith path), whole interpretation reports
-// (*core.Report), and simulated-execution results (*exec.Result — the
-// simulator is deterministic for a fixed MeasureSpec, which is what
-// makes measurement memoizable at all).
+// incremental EvaluateWith path, a request with another static key
+// replaces it, and it is evicted with its program. So there is at most
+// one form per cached program and never one without it.
 //
 // The cache is a bounded LRU: each map holds at most cap entries and
 // evicts the least recently used entry beyond that, counting evictions.
 // Evicted entries remain valid for goroutines already holding them;
 // only the memoization is lost.
 //
-// Cached values are shared between callers: all four kinds are treated
-// as immutable after construction everywhere in this module (the
+// Cached values are shared between callers: all of them are treated as
+// immutable after construction everywhere in this module (the
 // simulator, the evaluators and the report renderers only read them),
 // which is what makes the memoization sound.
 type Cache struct {
-	mu         sync.Mutex
-	cap        int
-	compiles   map[string]*compileEntry
-	compileLRU *list.List // of string keys; front = most recent
-	predicts   map[string]*predictEntry
-	predictLRU *list.List
-	reports    map[string]*reportEntry
-	reportLRU  *list.List
-	measures   map[string]*measureEntry
-	measureLRU *list.List
-
-	compileEvictions atomic.Int64
-	predictEvictions atomic.Int64
-	reportEvictions  atomic.Int64
-	measureEvictions atomic.Int64
+	compiles lru[*program]
+	reports  lru[*core.Report]
+	measures lru[*exec.Result]
 }
 
 // NewCache returns an empty cache bounded at DefaultCacheEntries
@@ -80,50 +71,110 @@ type Cache struct {
 func NewCache() *Cache { return NewCacheSize(DefaultCacheEntries) }
 
 // NewCacheSize returns an empty cache holding at most n compiled
-// programs and n interpretation reports (n <= 0 selects the default).
+// programs, n interpretation reports and n simulated-execution results
+// (n <= 0 selects the default).
 func NewCacheSize(n int) *Cache {
 	if n <= 0 {
 		n = DefaultCacheEntries
 	}
 	return &Cache{
-		cap:        n,
-		compiles:   make(map[string]*compileEntry),
-		compileLRU: list.New(),
-		predicts:   make(map[string]*predictEntry),
-		predictLRU: list.New(),
-		reports:    make(map[string]*reportEntry),
-		reportLRU:  list.New(),
-		measures:   make(map[string]*measureEntry),
-		measureLRU: list.New(),
+		compiles: lru[*program]{stage: "compile", cap: n},
+		reports:  lru[*core.Report]{stage: "interpret", cap: n},
+		measures: lru[*exec.Result]{stage: "execute", cap: n},
 	}
 }
 
-type compileEntry struct {
-	done chan struct{} // closed when prog/err are final
-	elem *list.Element // LRU position; nil once evicted
+// program is a compile entry's value: the compiled program and the
+// prediction form of its most recent static key.
+type program struct {
 	prog *hir.Program
+	form lru[*core.Compiled] // capacity 1
+}
+
+// lru is the single-flight, bounded memo behind every cached kind. The
+// first goroutine to ask for a key builds its value; later ones wait for
+// that build (or for their own context to end). A build whose error is
+// poisoned is dropped, so the next request rebuilds; beyond cap entries
+// the least recently used is evicted and counted. The zero value with
+// stage and cap set is ready to use.
+type lru[V any] struct {
+	stage     string // *PanicError stage of a panicking build
+	cap       int
+	mu        sync.Mutex
+	m         map[string]*lruEntry[V]
+	order     list.List // of *lruEntry[V]; front = most recent
+	evictions atomic.Int64
+}
+
+type lruEntry[V any] struct {
+	key  string
+	done chan struct{} // closed when val/err are final
+	elem *list.Element // position in order while the entry is in m
+	val  V
 	err  error
 }
 
-type predictEntry struct {
-	done chan struct{}
-	elem *list.Element
-	cp   *core.Compiled
-	err  error
+// get returns the value cached under key, building it with build on a
+// miss. lookup is called once, before any wait or build, with whether
+// key was present; callers count the probe there. A waiter whose ctx
+// ends before the build completes returns the ctx error; the build
+// itself always runs to completion. A panic in build becomes a
+// *PanicError, so the completion channel is closed on every path.
+func (l *lru[V]) get(ctx context.Context, key string, lookup func(hit bool), build func() (V, error)) (V, error) {
+	l.mu.Lock()
+	if e, ok := l.m[key]; ok {
+		l.order.MoveToFront(e.elem)
+		l.mu.Unlock()
+		lookup(true)
+		select {
+		case <-e.done:
+			return e.val, e.err
+		case <-ctx.Done():
+			var zero V
+			return zero, ctx.Err()
+		}
+	}
+	if l.m == nil {
+		l.m = make(map[string]*lruEntry[V])
+	}
+	e := &lruEntry[V]{key: key, done: make(chan struct{})}
+	e.elem = l.order.PushFront(e)
+	l.m[key] = e
+	for len(l.m) > l.cap {
+		old := l.order.Remove(l.order.Back()).(*lruEntry[V])
+		delete(l.m, old.key)
+		l.evictions.Add(1)
+	}
+	l.mu.Unlock()
+
+	lookup(false)
+	e.run(l.stage, build)
+	if poisoned(e.err) {
+		// A cancelled, panicked or fault-injected build is the attempt's
+		// failure, not the key's. Deterministic errors stay cached (they
+		// will fail identically every time).
+		l.mu.Lock()
+		if l.m[key] == e {
+			delete(l.m, key)
+			l.order.Remove(e.elem)
+		}
+		l.mu.Unlock()
+	}
+	close(e.done)
+	return e.val, e.err
 }
 
-type reportEntry struct {
-	done chan struct{}
-	elem *list.Element
-	rep  *core.Report
-	err  error
+// run fills the entry from build, turning a panic into a *PanicError.
+func (e *lruEntry[V]) run(stage string, build func() (V, error)) {
+	defer recoverToErr(stage, &e.err)
+	e.val, e.err = build()
 }
 
-type measureEntry struct {
-	done chan struct{}
-	elem *list.Element
-	res  *exec.Result
-	err  error
+// len reports how many entries the map holds.
+func (l *lru[V]) len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.m)
 }
 
 // CacheStats is a point-in-time view of the cache occupancy and its
@@ -131,29 +182,23 @@ type measureEntry struct {
 type CacheStats struct {
 	Cap              int
 	CompileEntries   int
-	PredictEntries   int
 	ReportEntries    int
 	MeasureEntries   int
 	CompileEvictions int64
-	PredictEvictions int64
 	ReportEvictions  int64
 	MeasureEvictions int64
 }
 
-// Stats returns the cache occupancy and eviction counters.
+// CacheStats returns the cache occupancy and eviction counters.
 func (c *Cache) CacheStats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return CacheStats{
-		Cap:              c.cap,
-		CompileEntries:   len(c.compiles),
-		PredictEntries:   len(c.predicts),
-		ReportEntries:    len(c.reports),
-		MeasureEntries:   len(c.measures),
-		CompileEvictions: c.compileEvictions.Load(),
-		PredictEvictions: c.predictEvictions.Load(),
-		ReportEvictions:  c.reportEvictions.Load(),
-		MeasureEvictions: c.measureEvictions.Load(),
+		Cap:              c.compiles.cap,
+		CompileEntries:   c.compiles.len(),
+		ReportEntries:    c.reports.len(),
+		MeasureEntries:   c.measures.len(),
+		CompileEvictions: c.compiles.evictions.Load(),
+		ReportEvictions:  c.reports.evictions.Load(),
+		MeasureEvictions: c.measures.evictions.Load(),
 	}
 }
 
@@ -221,144 +266,14 @@ func interpFingerprint(opts core.Options) (string, bool) {
 }
 
 // machineKey is the cache-key spelling of a machine name: its canonical
-// name, so "", "ipsc860" and "IPSC860" share one entry of each kind. A
-// name that does not resolve keys as given; building it fails and the
-// error is cached under that spelling.
+// name, so "", "ipsc860", "IPSC860" and "ipsc860:8" share one entry of
+// each kind. A name that does not resolve keys as given; building it
+// fails and the error is cached under that spelling.
 func machineKey(name string) string {
 	if k, err := sysmodel.CanonicalName(name); err == nil {
 		return k
 	}
 	return name
-}
-
-// touch moves an LRU element to the front (caller holds c.mu).
-func touch(lru *list.List, elem *list.Element) {
-	if elem != nil {
-		lru.MoveToFront(elem)
-	}
-}
-
-// evictCompiles trims the compile map to cap (caller holds c.mu).
-func (c *Cache) evictCompiles() {
-	for len(c.compiles) > c.cap {
-		back := c.compileLRU.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(string)
-		if e, ok := c.compiles[key]; ok {
-			e.elem = nil
-			delete(c.compiles, key)
-		}
-		c.compileLRU.Remove(back)
-		c.compileEvictions.Add(1)
-	}
-}
-
-// evictPredicts trims the compiled-prediction map to cap (caller holds
-// c.mu).
-func (c *Cache) evictPredicts() {
-	for len(c.predicts) > c.cap {
-		back := c.predictLRU.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(string)
-		if e, ok := c.predicts[key]; ok {
-			e.elem = nil
-			delete(c.predicts, key)
-		}
-		c.predictLRU.Remove(back)
-		c.predictEvictions.Add(1)
-	}
-}
-
-// evictMeasures trims the measurement map to cap (caller holds c.mu).
-func (c *Cache) evictMeasures() {
-	for len(c.measures) > c.cap {
-		back := c.measureLRU.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(string)
-		if e, ok := c.measures[key]; ok {
-			e.elem = nil
-			delete(c.measures, key)
-		}
-		c.measureLRU.Remove(back)
-		c.measureEvictions.Add(1)
-	}
-}
-
-// evictReports trims the report map to cap (caller holds c.mu).
-func (c *Cache) evictReports() {
-	for len(c.reports) > c.cap {
-		back := c.reportLRU.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(string)
-		if e, ok := c.reports[key]; ok {
-			e.elem = nil
-			delete(c.reports, key)
-		}
-		c.reportLRU.Remove(back)
-		c.reportEvictions.Add(1)
-	}
-}
-
-// dropReport removes a report entry if it still maps to e (used to
-// un-cache results poisoned by the builder's context).
-func (c *Cache) dropReport(key string, e *reportEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.reports[key]; ok && cur == e {
-		delete(c.reports, key)
-		if e.elem != nil {
-			c.reportLRU.Remove(e.elem)
-			e.elem = nil
-		}
-	}
-}
-
-// dropPredict removes a compiled-prediction entry if it still maps to e.
-func (c *Cache) dropPredict(key string, e *predictEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.predicts[key]; ok && cur == e {
-		delete(c.predicts, key)
-		if e.elem != nil {
-			c.predictLRU.Remove(e.elem)
-			e.elem = nil
-		}
-	}
-}
-
-// dropMeasure removes a measurement entry if it still maps to e.
-func (c *Cache) dropMeasure(key string, e *measureEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.measures[key]; ok && cur == e {
-		delete(c.measures, key)
-		if e.elem != nil {
-			c.measureLRU.Remove(e.elem)
-			e.elem = nil
-		}
-	}
-}
-
-// dropCompile removes a compile entry if it still maps to e (used to
-// un-cache panicked or fault-injected builds).
-func (c *Cache) dropCompile(key string, e *compileEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.compiles[key]; ok && cur == e {
-		delete(c.compiles, key)
-		if e.elem != nil {
-			c.compileLRU.Remove(e.elem)
-			e.elem = nil
-		}
-	}
 }
 
 // poisoned reports whether a build error must not be memoized:
@@ -384,6 +299,24 @@ func recoverToErr(stage string, err *error) {
 	}
 }
 
+// probe counts one lookup of a cached kind on stats (may be nil) and
+// records it as a cache.lookup span.
+func probe(ctx context.Context, stats *Stats, kind, key string, hit bool) {
+	if stats != nil {
+		hits, misses := stats.lookups(kind)
+		if hit {
+			hits.Add(1)
+		} else {
+			misses.Add(1)
+		}
+	}
+	outcome := "miss"
+	if hit {
+		outcome = "hit"
+	}
+	cacheSpan(ctx, kind, key, outcome)
+}
+
 // Compile returns the compiled program for (src, opts), running the
 // scanner→parser→sem→compiler pipeline at most once per live key.
 // Counter updates go to stats (may be nil). A waiter whose ctx ends
@@ -391,60 +324,43 @@ func recoverToErr(stage string, err *error) {
 // always runs to completion and stays cached.
 func (c *Cache) Compile(ctx context.Context, src string, opts compiler.Options, stats *Stats) (*hir.Program, error) {
 	key := compileKey(src, opts)
-	c.mu.Lock()
-	if e, ok := c.compiles[key]; ok {
-		touch(c.compileLRU, e.elem)
-		c.mu.Unlock()
-		if stats != nil {
-			stats.CompileHits.Add(1)
-		}
-		cacheSpan(ctx, "compile", key, "hit")
-		select {
-		case <-e.done:
-			return e.prog, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	p, err := c.lookupProgram(ctx, src, opts, key, stats, func(hit bool) { probe(ctx, stats, "compile", key, hit) })
+	if p == nil {
+		return nil, err
 	}
-	e := &compileEntry{done: make(chan struct{})}
-	e.elem = c.compileLRU.PushFront(key)
-	c.compiles[key] = e
-	c.evictCompiles()
-	c.mu.Unlock()
+	return p.prog, err
+}
 
-	if stats != nil {
-		stats.CompileMisses.Add(1)
-	}
-	cacheSpan(ctx, "compile", key, "miss")
-	start := time.Now()
-	func() {
-		defer recoverToErr("compile", &e.err)
-		if e.err = faults.Fire(faults.SiteCompile); e.err != nil {
-			return
+// lookupProgram is Compile's lookup with the probe left to the caller.
+func (c *Cache) lookupProgram(ctx context.Context, src string, opts compiler.Options, key string, stats *Stats, lookup func(hit bool)) (*program, error) {
+	return c.compiles.get(ctx, key, lookup, func() (*program, error) {
+		if stats != nil {
+			start := time.Now()
+			defer func() {
+				stats.Compiles.Add(1)
+				stats.CompileNS.Add(int64(time.Since(start)))
+			}()
 		}
-		e.prog, e.err = compiler.CompileWithContext(ctx, src, opts)
-	}()
-	if stats != nil {
-		stats.Compiles.Add(1)
-		stats.CompileNS.Add(int64(time.Since(start)))
-	}
-	if poisoned(e.err) {
-		// A panicked or fault-injected build must not pin its key: the
-		// next request rebuilds. Deterministic compile errors stay
-		// cached (they will fail identically every time).
-		c.dropCompile(key, e)
-	}
-	close(e.done)
-	return e.prog, e.err
+		if err := faults.Fire(faults.SiteCompile); err != nil {
+			return nil, err
+		}
+		prog, err := compiler.CompileWithContext(ctx, src, opts)
+		return &program{prog: prog, form: lru[*core.Compiled]{stage: "predict", cap: 1}}, err
+	})
 }
 
 // CompiledPrediction returns the closure-compiled prediction form for
-// (src, copts, static iopts) on the named machine abstraction, built at
-// most once per live key. The form is shared and concurrency-safe; its
-// subtree memoization accumulates across every EvaluateWith caller, so
-// incremental sweeps that vary only Values/TripCounts re-evaluate only
-// the cost terms those feed. Uncacheable options (injected CommLibrary)
-// build a private form.
+// (src, copts, static iopts) on the named machine abstraction. The form
+// is owned by the program's compile entry and built at most once per
+// live (program, static key); a request with another static key builds
+// a new form that replaces it. The form is shared and concurrency-safe;
+// its subtree memoization accumulates across every EvaluateWith caller,
+// so incremental sweeps that vary only Values/TripCounts re-evaluate
+// only the cost terms those feed. Uncacheable options (injected
+// CommLibrary) build a private form.
+//
+// A form hit is not a compile hit: the compile probe is counted as a
+// miss when the program is new and as a hit only when the form misses.
 func (c *Cache) CompiledPrediction(ctx context.Context, src string, copts compiler.Options, iopts core.Options, machine string, stats *Stats) (*core.Compiled, error) {
 	fp, cacheable := predictFingerprint(iopts)
 	if !cacheable {
@@ -455,46 +371,26 @@ func (c *Cache) CompiledPrediction(ctx context.Context, src string, copts compil
 		return buildPredict(ctx, prog, iopts, machine)
 	}
 
-	key := compileKey(src, copts) + "|mach=" + machineKey(machine) + "|" + fp
-	c.mu.Lock()
-	if e, ok := c.predicts[key]; ok {
-		touch(c.predictLRU, e.elem)
-		c.mu.Unlock()
-		if stats != nil {
-			stats.PredictHits.Add(1)
+	key := compileKey(src, copts)
+	compileHit := false
+	p, err := c.lookupProgram(ctx, src, copts, key, stats, func(hit bool) {
+		if compileHit = hit; !hit {
+			probe(ctx, stats, "compile", key, false)
 		}
-		cacheSpan(ctx, "predict", key, "hit")
-		select {
-		case <-e.done:
-			return e.cp, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	})
+	formProbe := func(hit bool) {
+		if !hit && compileHit {
+			probe(ctx, stats, "compile", key, true)
 		}
+		probe(ctx, stats, "predict", key, hit)
 	}
-	e := &predictEntry{done: make(chan struct{})}
-	e.elem = c.predictLRU.PushFront(key)
-	c.predicts[key] = e
-	c.evictPredicts()
-	c.mu.Unlock()
-
-	if stats != nil {
-		stats.PredictMisses.Add(1)
+	if err != nil {
+		formProbe(false)
+		return nil, err
 	}
-	cacheSpan(ctx, "predict", key, "miss")
-	func() {
-		defer recoverToErr("predict", &e.err)
-		var prog *hir.Program
-		prog, e.err = c.Compile(ctx, src, copts, stats)
-		if e.err != nil {
-			return
-		}
-		e.cp, e.err = buildPredict(ctx, prog, iopts, machine)
-	}()
-	if poisoned(e.err) {
-		c.dropPredict(key, e)
-	}
-	close(e.done)
-	return e.cp, e.err
+	return p.form.get(ctx, machineKey(machine)+"|"+fp, formProbe, func() (*core.Compiled, error) {
+		return buildPredict(ctx, p.prog, iopts, machine)
+	})
 }
 
 // buildPredict resolves the machine abstraction and compiles the
@@ -524,45 +420,12 @@ func (c *Cache) Interpret(ctx context.Context, src string, copts compiler.Option
 	}
 
 	key := compileKey(src, copts) + "|mach=" + machineKey(machine) + "|" + fp
-	c.mu.Lock()
-	if e, ok := c.reports[key]; ok {
-		touch(c.reportLRU, e.elem)
-		c.mu.Unlock()
-		if stats != nil {
-			stats.ReportHits.Add(1)
+	return c.reports.get(ctx, key, func(hit bool) { probe(ctx, stats, "report", key, hit) }, func() (*core.Report, error) {
+		if err := faults.Fire(faults.SiteCache); err != nil {
+			return nil, err
 		}
-		cacheSpan(ctx, "report", key, "hit")
-		select {
-		case <-e.done:
-			return e.rep, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	e := &reportEntry{done: make(chan struct{})}
-	e.elem = c.reportLRU.PushFront(key)
-	c.reports[key] = e
-	c.evictReports()
-	c.mu.Unlock()
-
-	if stats != nil {
-		stats.ReportMisses.Add(1)
-	}
-	cacheSpan(ctx, "report", key, "miss")
-	func() {
-		defer recoverToErr("interpret", &e.err)
-		if e.err = faults.Fire(faults.SiteCache); e.err != nil {
-			return
-		}
-		e.rep, e.err = c.predict(ctx, src, copts, iopts, machine, stats)
-	}()
-	if poisoned(e.err) {
-		// A cancelled, panicked or fault-injected build is the attempt's
-		// failure, not the key's: don't poison the cache with it.
-		c.dropReport(key, e)
-	}
-	close(e.done)
-	return e.rep, e.err
+		return c.predict(ctx, src, copts, iopts, machine, stats)
+	})
 }
 
 // predict evaluates the compiled prediction form of (src, copts, iopts)
@@ -648,45 +511,13 @@ func (c *Cache) Measure(ctx context.Context, src string, copts compiler.Options,
 	}
 	spec.Machine = machineKey(spec.Machine)
 	key := compileKey(src, copts) + "|" + spec.fingerprint()
-	c.mu.Lock()
-	if e, ok := c.measures[key]; ok {
-		touch(c.measureLRU, e.elem)
-		c.mu.Unlock()
-		if stats != nil {
-			stats.ExecHits.Add(1)
+	return c.measures.get(ctx, key, func(hit bool) { probe(ctx, stats, "exec", key, hit) }, func() (*exec.Result, error) {
+		prog, err := c.Compile(ctx, src, copts, stats)
+		if err != nil {
+			return nil, err
 		}
-		cacheSpan(ctx, "exec", key, "hit")
-		select {
-		case <-e.done:
-			return e.res, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	e := &measureEntry{done: make(chan struct{})}
-	e.elem = c.measureLRU.PushFront(key)
-	c.measures[key] = e
-	c.evictMeasures()
-	c.mu.Unlock()
-
-	if stats != nil {
-		stats.ExecMisses.Add(1)
-	}
-	cacheSpan(ctx, "exec", key, "miss")
-	func() {
-		defer recoverToErr("execute", &e.err)
-		var prog *hir.Program
-		prog, e.err = c.Compile(ctx, src, copts, stats)
-		if e.err != nil {
-			return
-		}
-		e.res, e.err = runExec(ctx, prog, spec, stats)
-	}()
-	if poisoned(e.err) {
-		c.dropMeasure(key, e)
-	}
-	close(e.done)
-	return e.res, e.err
+		return runExec(ctx, prog, spec, stats)
+	})
 }
 
 // runExec builds the simulated machine for spec and executes prog on it.
@@ -738,8 +569,4 @@ func cacheSpan(ctx context.Context, kind, key, outcome string) {
 
 // Len reports how many compiled programs the cache holds (for tests and
 // diagnostics).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.compiles)
-}
+func (c *Cache) Len() int { return c.compiles.len() }

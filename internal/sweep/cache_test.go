@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"hpfperf/internal/compiler"
 	"hpfperf/internal/core"
 	"hpfperf/internal/exec"
+	"hpfperf/internal/faults"
 	"hpfperf/internal/ipsc"
 	"hpfperf/internal/obs"
 )
@@ -113,17 +115,26 @@ func TestReportCacheBoundedUnderChurn(t *testing.T) {
 }
 
 func TestCompileWaiterHonorsContext(t *testing.T) {
-	// A waiter whose context is already cancelled must not park on a
-	// builder that never finishes. Simulate by inserting a never-done
-	// entry the way a concurrent builder would hold it.
+	// A waiter whose context ends must not park on a builder that has
+	// not finished. Hold a build of the key open until the waiter is
+	// done.
 	c := NewCacheSize(8)
 	src := tinySource(0)
 	key := compileKey(src, compiler.Options{})
-	e := &compileEntry{done: make(chan struct{})} // never closed
-	c.mu.Lock()
-	e.elem = c.compileLRU.PushFront(key)
-	c.compiles[key] = e
-	c.mu.Unlock()
+	started, release, built := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(built)
+		c.compiles.get(context.Background(), key, func(bool) {}, func() (*program, error) {
+			close(started)
+			<-release
+			return nil, errors.New("released")
+		})
+	}()
+	<-started
+	defer func() {
+		close(release)
+		<-built
+	}()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -238,8 +249,9 @@ func TestInterpretMachineKeyedSeparately(t *testing.T) {
 }
 
 // TestMachineSpellingsShareEntries keys every artifact by the canonical
-// machine name: "", "ipsc860" and "IPSC860" name one machine, so they
-// share one compiled form, one report and one measurement.
+// machine name: "", "ipsc860", "IPSC860" and "ipsc860:8" (its default
+// node count) name one machine, so they share one compiled form, one
+// report and one measurement.
 func TestMachineSpellingsShareEntries(t *testing.T) {
 	c := NewCacheSize(8)
 	var stats Stats
@@ -248,7 +260,8 @@ func TestMachineSpellingsShareEntries(t *testing.T) {
 	var forms []*core.Compiled
 	var reps []*core.Report
 	var results []*exec.Result
-	for _, mach := range []string{"", "ipsc860", "IPSC860"} {
+	spellings := []string{"", "ipsc860", "IPSC860", "ipsc860:8"}
+	for _, mach := range spellings {
 		cp, err := c.CompiledPrediction(ctx, src, compiler.Options{}, core.DefaultOptions(), mach, &stats)
 		if err != nil {
 			t.Fatal(err)
@@ -265,16 +278,16 @@ func TestMachineSpellingsShareEntries(t *testing.T) {
 		}
 		forms, reps, results = append(forms, cp), append(reps, rep), append(results, res)
 	}
-	for i := 1; i < 3; i++ {
+	for i := 1; i < len(spellings); i++ {
 		if forms[i] != forms[0] || reps[i] != reps[0] || results[i] != results[0] {
-			t.Errorf("spelling %d built its own artifacts", i)
+			t.Errorf("spelling %q built its own artifacts", spellings[i])
 		}
 	}
 	if p, r, m := stats.PredictMisses.Load(), stats.ReportMisses.Load(), stats.ExecMisses.Load(); p != 1 || r != 1 || m != 1 {
 		t.Errorf("misses: predict %d, report %d, exec %d; want 1 each", p, r, m)
 	}
-	if cs := c.CacheStats(); cs.PredictEntries != 1 || cs.ReportEntries != 1 || cs.MeasureEntries != 1 {
-		t.Errorf("entries: %+v, want one form, report and measurement", cs)
+	if cs := c.CacheStats(); cs.ReportEntries != 1 || cs.MeasureEntries != 1 {
+		t.Errorf("entries: %+v, want one report and one measurement", cs)
 	}
 }
 
@@ -516,4 +529,155 @@ func spanCount(tree *obs.Tree, prefix, replay string) int {
 		}
 	})
 	return n
+}
+
+// TestFormSingleFlight races first requests for one form of a fresh
+// program; run it under -race. The program and its form are each built
+// once and every caller gets the same form.
+func TestFormSingleFlight(t *testing.T) {
+	c := NewCacheSize(8)
+	var stats Stats
+	src := tinySource(10)
+	const callers = 8
+	forms := make([]*core.Compiled, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range forms {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			cp, err := c.CompiledPrediction(context.Background(), src, compiler.Options{}, core.DefaultOptions(), "", &stats)
+			if err != nil {
+				t.Error(err)
+			}
+			forms[i] = cp
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, cp := range forms {
+		if cp == nil || cp != forms[0] {
+			t.Fatalf("caller %d got form %p, caller 0 got %p", i, cp, forms[0])
+		}
+	}
+	if p, h := stats.PredictMisses.Load(), stats.PredictHits.Load(); p != 1 || h != callers-1 {
+		t.Errorf("predict cache = %d hit / %d miss, want %d/1", h, p, callers-1)
+	}
+	if n := stats.Compiles.Load(); n != 1 {
+		t.Errorf("compiles = %d, want 1", n)
+	}
+}
+
+// TestFormReplacedByNewStaticKey pins form ownership: a program keeps
+// the form of its most recent static key. A second key builds one more
+// form without disturbing the first key's cached report.
+func TestFormReplacedByNewStaticKey(t *testing.T) {
+	c := NewCacheSize(8)
+	var stats Stats
+	src := tinySource(11)
+	ctx := context.Background()
+	first := core.DefaultOptions()
+	second := core.DefaultOptions()
+	second.MemoryModel = !first.MemoryModel
+
+	rep, err := c.Interpret(ctx, src, compiler.Options{}, first, "", &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Interpret(ctx, src, compiler.Options{}, second, "", &stats); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.PredictMisses.Load(); got != 2 {
+		t.Errorf("predict misses = %d after a second static key, want 2", got)
+	}
+	again, err := c.Interpret(ctx, src, compiler.Options{}, first, "", &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != rep || stats.ReportHits.Load() != 1 {
+		t.Errorf("first key's report: same = %t, %d report hits; want the cached report", again == rep, stats.ReportHits.Load())
+	}
+	if got := stats.Compiles.Load(); got != 1 {
+		t.Errorf("compiles = %d, want 1 (one program, two forms in turn)", got)
+	}
+
+	// The second key's form replaced the first: asking for the first
+	// again builds it anew.
+	if _, err := c.CompiledPrediction(ctx, src, compiler.Options{}, first, "", &stats); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.PredictMisses.Load(); got != 3 {
+		t.Errorf("predict misses = %d, want 3 (one form per program)", got)
+	}
+}
+
+// TestFormEvictedWithProgram checks that a form does not outlive its
+// compile entry: once the program is evicted, its form is gone too.
+func TestFormEvictedWithProgram(t *testing.T) {
+	c := NewCacheSize(1)
+	var stats Stats
+	ctx := context.Background()
+	src := tinySource(12)
+	before, err := c.CompiledPrediction(ctx, src, compiler.Options{}, core.DefaultOptions(), "", &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Compile(ctx, tinySource(13), compiler.Options{}, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if ev := c.CacheStats().CompileEvictions; ev != 1 {
+		t.Fatalf("compile evictions = %d, want 1", ev)
+	}
+	after, err := c.CompiledPrediction(ctx, src, compiler.Options{}, core.DefaultOptions(), "", &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after == before {
+		t.Error("form outlived its evicted program")
+	}
+	if p, h := stats.PredictMisses.Load(), stats.PredictHits.Load(); p != 2 || h != 0 {
+		t.Errorf("predict cache = %d hit / %d miss, want 0/2", h, p)
+	}
+}
+
+// TestFormBuildFailureNotCached checks the poison rule for forms: a
+// fault or panic while building a form is not memoized, and it leaves
+// the program's compile entry cached.
+func TestFormBuildFailureNotCached(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() (*core.Compiled, error)
+	}{
+		{"fault", func() (*core.Compiled, error) { return nil, &faults.InjectedError{Site: faults.SiteInterp} }},
+		{"panic", func() (*core.Compiled, error) { panic("form build") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCacheSize(4)
+			var stats Stats
+			ctx := context.Background()
+			src := tinySource(14)
+			if _, err := c.Compile(ctx, src, compiler.Options{}, &stats); err != nil {
+				t.Fatal(err)
+			}
+			fp, _ := predictFingerprint(core.DefaultOptions())
+			p, err := c.lookupProgram(ctx, src, compiler.Options{}, compileKey(src, compiler.Options{}), nil, func(bool) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.form.get(ctx, machineKey("")+"|"+fp, func(bool) {}, tc.build); !IsTransient(err) {
+				t.Fatalf("failed form build: err = %v, want a transient error", err)
+			}
+			cp, err := c.CompiledPrediction(ctx, src, compiler.Options{}, core.DefaultOptions(), "", &stats)
+			if err != nil || cp == nil {
+				t.Fatalf("form after a failed build: %v (failure cached?)", err)
+			}
+			if got := stats.PredictMisses.Load(); got != 1 {
+				t.Errorf("predict misses = %d, want 1 (the rebuild)", got)
+			}
+			if n, m := stats.Compiles.Load(), c.CacheStats().CompileEntries; n != 1 || m != 1 {
+				t.Errorf("compiles = %d, compile entries = %d; want the program kept", n, m)
+			}
+		})
+	}
 }

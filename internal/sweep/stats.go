@@ -59,6 +59,22 @@ type Stats struct {
 	WallNS atomic.Int64
 }
 
+// lookups returns the hit and miss counters of one cached kind
+// ("compile", "predict", "report" or "exec").
+func (s *Stats) lookups(kind string) (hits, misses *atomic.Int64) {
+	switch kind {
+	case "compile":
+		return &s.CompileHits, &s.CompileMisses
+	case "predict":
+		return &s.PredictHits, &s.PredictMisses
+	case "report":
+		return &s.ReportHits, &s.ReportMisses
+	case "exec":
+		return &s.ExecHits, &s.ExecMisses
+	}
+	panic("sweep: unknown cache kind " + kind)
+}
+
 // Snapshot is a consistent copy of the counters plus derived rates.
 type Snapshot struct {
 	Compiles        int64

@@ -120,9 +120,10 @@ var shared = struct {
 
 // CanonicalName resolves a machine name to the form MachineByName keys
 // its shared models by: lower-cased, "" naming the iPSC/860, and a ":n"
-// suffix rewritten as its decimal node count. Names that differ only in
-// spelling ("", "ipsc860", "IPSC860") map to one canonical name. An
-// unknown machine or a malformed node count is an error.
+// suffix rewritten as its decimal node count, or dropped when n is the
+// machine's default size. Names that name one model ("", "ipsc860",
+// "IPSC860", "ipsc860:8") map to one canonical name. An unknown machine
+// or a malformed node count is an error.
 func CanonicalName(name string) (string, error) {
 	key, _, _, err := parseName(name)
 	return key, err
@@ -130,7 +131,7 @@ func CanonicalName(name string) (string, error) {
 
 // parseName resolves a machine name to its canonical name, its
 // registered base name and its node count (0 = the machine's default
-// size).
+// size, also when the name spells that size out).
 func parseName(name string) (key, base string, nodes int, err error) {
 	base = strings.ToLower(name)
 	if base == "" {
@@ -144,6 +145,11 @@ func parseName(name string) (key, base string, nodes int, err error) {
 	}
 	if _, ok := machineBuilders[base]; !ok {
 		return "", "", 0, fmt.Errorf("sysmodel: unknown machine %q (have %s)", name, strings.Join(MachineNames(), ", "))
+	}
+	if nodes > 0 {
+		if def, _ := sharedModel(base, base, 0); nodes == def.MaxNodes {
+			nodes = 0
+		}
 	}
 	key = base
 	if nodes > 0 {
@@ -167,6 +173,14 @@ func MachineByName(name string) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
+	return sharedModel(key, base, nodes)
+}
+
+// sharedModel returns the shared model of a canonical name, building it
+// on first use. Default-size models (nodes == 0) are always kept, so
+// parseName can read a machine's default size from them; sized ones
+// only while the registry is below sharedCap.
+func sharedModel(key, base string, nodes int) (*Machine, error) {
 	shared.Lock()
 	defer shared.Unlock()
 	if m := shared.m[key]; m != nil {
@@ -176,7 +190,7 @@ func MachineByName(name string) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(shared.m) < sharedCap {
+	if nodes == 0 || len(shared.m) < sharedCap {
 		shared.m[key] = m
 	}
 	return m, nil

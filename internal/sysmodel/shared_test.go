@@ -19,7 +19,7 @@ func TestMachineByNameShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"ipsc860", "", "IPSC860", "iPSC860"} {
+	for _, name := range []string{"ipsc860", "", "IPSC860", "iPSC860", "ipsc860:8"} {
 		b, err := sysmodel.MachineByName(name)
 		if err != nil || b != a {
 			t.Errorf("MachineByName(%q) = %p, %v; want the shared %p", name, b, err, a)
@@ -51,6 +51,8 @@ func TestCanonicalName(t *testing.T) {
 	for in, want := range map[string]string{
 		"": "ipsc860", "ipsc860": "ipsc860", "IPSC860": "ipsc860",
 		"Paragon": "paragon", "ipsc860:32": "ipsc860:32", "PARAGON:016": "paragon:16",
+		// An explicit default node count names the default model.
+		"ipsc860:8": "ipsc860", "IPSC860:008": "ipsc860", "paragon:8": "paragon",
 	} {
 		if got, err := sysmodel.CanonicalName(in); err != nil || got != want {
 			t.Errorf("CanonicalName(%q) = %q, %v; want %q", in, got, err, want)

@@ -1,15 +1,12 @@
-// Observability overhead benchmarks (PR 5). The tracing subsystem's
-// contract is that a program which never opts in pays only nil checks:
+// Observability overhead benchmarks. The tracing subsystem's contract
+// is that a program which never opts in pays only nil checks:
 // BenchmarkPredictUntraced vs BenchmarkPredictTraced quantifies the
-// enabled cost, TestDisabledTracingOverhead bounds the disabled cost
-// below 2% of a prediction, and TestEmitBenchJSON (gated by
-// HPFPERF_EMIT_BENCH) writes the numbers to BENCH_PR5.json for CI.
+// enabled cost, and TestDisabledTracingOverhead bounds the disabled cost
+// below 2% of a prediction.
 package hpfperf_test
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
 
 	"hpfperf"
@@ -114,67 +111,4 @@ func TestDisabledTracingOverhead(t *testing.T) {
 	if overhead >= 0.02 {
 		t.Errorf("disabled tracing costs %.2f%% of a prediction, want < 2%%", overhead*100)
 	}
-}
-
-// benchRecord is one row of BENCH_PR5.json.
-type benchRecord struct {
-	Name     string  `json:"name"`
-	NsPerOp  int64   `json:"ns_per_op"`
-	AllocsOp int64   `json:"allocs_per_op"`
-	BytesOp  int64   `json:"bytes_per_op"`
-	Spans    int     `json:"spans,omitempty"`
-	Overhead float64 `json:"traced_overhead_pct,omitempty"`
-}
-
-// TestEmitBenchJSON writes the tracing benchmark results to
-// BENCH_PR5.json when HPFPERF_EMIT_BENCH is set (the CI bench step).
-func TestEmitBenchJSON(t *testing.T) {
-	if os.Getenv("HPFPERF_EMIT_BENCH") == "" {
-		t.Skip("set HPFPERF_EMIT_BENCH=1 to emit BENCH_PR5.json")
-	}
-	prog := benchProgram(t)
-	sites := tracedSpanCount(t, prog)
-
-	untraced := testing.Benchmark(func(b *testing.B) {
-		ctx := context.Background()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := hpfperf.PredictContext(ctx, prog, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	traced := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tracer := obs.NewTracer(obs.NewTraceID())
-			root := tracer.Root("bench.predict")
-			ctx := obs.ContextWithSpan(context.Background(), root)
-			if _, err := hpfperf.PredictContext(ctx, prog, nil); err != nil {
-				b.Fatal(err)
-			}
-			root.End()
-		}
-	})
-
-	overheadPct := (float64(traced.NsPerOp())/float64(untraced.NsPerOp()) - 1) * 100
-	records := []benchRecord{
-		{Name: "BenchmarkPredictUntraced", NsPerOp: untraced.NsPerOp(),
-			AllocsOp: untraced.AllocsPerOp(), BytesOp: untraced.AllocedBytesPerOp()},
-		{Name: "BenchmarkPredictTraced", NsPerOp: traced.NsPerOp(),
-			AllocsOp: traced.AllocsPerOp(), BytesOp: traced.AllocedBytesPerOp(),
-			Spans: sites, Overhead: overheadPct},
-	}
-	f, err := os.Create("BENCH_PR5.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(records); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_PR5.json: untraced %dns/op, traced %dns/op (%.1f%% overhead, %d spans)",
-		untraced.NsPerOp(), traced.NsPerOp(), overheadPct, sites)
 }
