@@ -59,8 +59,6 @@ func main() {
 		queueDepth = flag.Int("queue-depth", 0, "waiting requests admitted before immediate shedding (0 = 4x max-concurrent)")
 		maxCost    = flag.Float64("max-cost-units", 0, "per-request static cost ceiling; over-budget predict/measure requests get 429 with the estimate (0 = unlimited)")
 		maxInCost  = flag.Float64("max-inflight-cost-units", 0, "aggregate static cost budget for admitted in-flight requests (0 = unlimited)")
-		brThresh   = flag.Int("breaker-threshold", 0, "consecutive internal failures that open a route's circuit breaker (0 = 8, negative disables)")
-		brCooldown = flag.Duration("breaker-cooldown", 0, "how long an open breaker sheds a route before probing (0 = 5s)")
 		traceAll   = flag.Bool("trace-all", false, "trace every request into the /v1/traces ring (clients still opt into inline trees with X-HPF-Trace: 1)")
 		traceRing  = flag.Int("trace-ring", 0, "traces retained for GET /v1/traces on the debug listener (0 = 64)")
 		debugAddr  = flag.String("debug-addr", "", "optional second listen address serving net/http/pprof and GET /v1/traces (e.g. localhost:6060); never expose publicly")
@@ -115,8 +113,6 @@ func main() {
 		MaxQueueDepth:        *queueDepth,
 		MaxCostUnits:         *maxCost,
 		MaxInflightCostUnits: *maxInCost,
-		BreakerThreshold:     *brThresh,
-		BreakerCooldown:      *brCooldown,
 		MaxBatchPoints:       *maxBatch,
 		SSEHeartbeat:         *sseHB,
 		Log:                  reqLog,

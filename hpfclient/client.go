@@ -1,10 +1,12 @@
 // Package hpfclient is the Go client for the hpfserve HTTP API. It
 // wraps the /v1 endpoints with context-aware retries: transient
-// failures — network errors, 429 shed responses, 503 overload/breaker
-// rejections, 502s from intermediaries — are retried with full-jitter
-// exponential backoff, honoring the server's Retry-After header when
-// present. Permanent failures (4xx client errors, 500 internal
-// errors, 504 deadline expiries) surface immediately as *APIError.
+// failures — network errors, 429 shed responses, 503 overload, drain
+// and injected-fault rejections, 502s from intermediaries — are
+// retried with full-jitter exponential backoff, honoring the server's
+// Retry-After header when present. Permanent failures (4xx client
+// errors, 500 internal errors, 504 deadline expiries) surface
+// immediately as *APIError: hpfserve's pipeline is deterministic, so a
+// 500 (a real panic) repeats for the same input.
 package hpfclient
 
 import (

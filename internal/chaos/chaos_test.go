@@ -80,9 +80,8 @@ func TestChaosServerSurvives(t *testing.T) {
 		Retry:   sweep.RetryPolicy{MaxAttempts: 6, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond},
 	})
 	srv := server.New(server.Config{
-		Engine:           eng,
-		MaxConcurrent:    8,
-		BreakerThreshold: -1, // measure raw failure rate, not breaker shedding
+		Engine:        eng,
+		MaxConcurrent: 8,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -36,7 +36,8 @@ type Kind int
 const (
 	// KindError makes the site return an *InjectedError (transient).
 	KindError Kind = iota
-	// KindPanic makes the site panic (exercising recovery paths).
+	// KindPanic makes the site panic with an *InjectedPanic (exercising
+	// recovery paths).
 	KindPanic
 	// KindDelay makes the site sleep for the rule's delay.
 	KindDelay
@@ -104,6 +105,23 @@ func (e *InjectedError) Error() string {
 
 // Transient marks the error retryable (see sweep.IsTransient).
 func (e *InjectedError) Transient() bool { return true }
+
+// InjectedPanic is the value KindPanic injections panic with. Like
+// InjectedError it is transient: a recovered panic whose value is an
+// *InjectedPanic belongs to the attempt, not to the input, so retry
+// layers may retry it and caches must not memoize it. Any other panic
+// value is a real defect of the input's pipeline path and repeats on
+// every attempt.
+type InjectedPanic struct {
+	Site string
+}
+
+func (p *InjectedPanic) String() string {
+	return "faults: injected panic at site " + p.Site
+}
+
+// Transient marks the panic retryable (see sweep.PanicError).
+func (p *InjectedPanic) Transient() bool { return true }
 
 // DefaultDelay is the sleep applied by KindDelay rules that carry no
 // explicit duration.
@@ -241,7 +259,7 @@ func (inj *Injector) fire(site string) error {
 		r.fired.Add(1)
 		switch r.Kind {
 		case KindPanic:
-			panic(fmt.Sprintf("faults: injected panic at site %s", site))
+			panic(&InjectedPanic{Site: site})
 		case KindDelay:
 			time.Sleep(r.Delay)
 		default:

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -97,8 +98,16 @@ func TestPanicKindPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		if r := recover(); r == nil {
-			t.Error("rate-1 panic rule did not panic")
+		r := recover()
+		if r == nil {
+			t.Fatal("rate-1 panic rule did not panic")
+		}
+		ip, ok := r.(*InjectedPanic)
+		if !ok || ip.Site != SiteExec || !ip.Transient() {
+			t.Fatalf("panic value = %#v, want a transient *InjectedPanic at %s", r, SiteExec)
+		}
+		if got := fmt.Sprint(r); got != "faults: injected panic at site exec" {
+			t.Errorf("panic text = %q", got)
 		}
 	}()
 	inj.fire(SiteExec)

@@ -221,13 +221,13 @@ type AnalyzeResponse struct {
 
 // ErrorResponse is the body of every non-2xx API response. RequestID
 // and TraceID are present on every response path — including shed
-// (429), breaker-open, and drain rejections — so a refused request is
-// still correlatable with server logs and traces.
+// (429) and drain (503) rejections — so a refused request is still
+// correlatable with server logs and traces.
 type ErrorResponse struct {
 	Error string `json:"error"`
 	// Stage names the pipeline stage that failed ("decode", "compile",
 	// "interpret", "execute", "search", "deadline", "internal",
-	// "overload" for shed/breaker/drain rejections, "transient" for
+	// "overload" for shed/drain rejections, "transient" for
 	// retryable failures worth resubmitting).
 	Stage string `json:"stage,omitempty"`
 	// RequestID identifies the request in the server logs.

@@ -27,10 +27,11 @@ import (
 )
 
 // handleJobEvents serves GET /v1/jobs/{id}/events. It sits outside the
-// api() wrapper (the gate and breaker are sized for request/response
-// work, not long-lived streams) but registers with the drain group so
-// Shutdown waits for streams to tear down — which they do promptly,
-// because jobs.Drain closes every subscription first.
+// api() wrapper (the concurrency gate is sized for request/response
+// work, not long-lived streams) but is admitted and counted in flight
+// like an API request, so Shutdown waits for streams to tear down —
+// which they do promptly, because jobs.Drain closes every subscription
+// first.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	meta := s.jobMeta(w, r)
 	if s.jobsDisabled(w, meta) {
@@ -75,7 +76,12 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sub.Cancel()
 
-	s.inflight.Add(1)
+	if !s.admit() {
+		s.recordRequest(routeEvents, http.StatusServiceUnavailable)
+		retryAfterHeader(w, time.Second)
+		writeError(w, http.StatusServiceUnavailable, "overload", errDraining, meta)
+		return
+	}
 	defer s.inflight.Done()
 	s.met.sseStreams.Add(1)
 	defer s.met.sseStreams.Add(-1)

@@ -57,14 +57,13 @@ func (h *histogram) observe(seconds float64, traceID string) {
 // (compiles, cache hits, evictions) are read live from the engine at
 // render time rather than duplicated here.
 type metrics struct {
-	requests        map[string]*atomic.Int64 // "route|code" -> count
-	latency         map[string]*histogram    // route -> histogram
-	inflight        atomic.Int64
-	queued          atomic.Int64 // requests currently waiting for a worker slot
-	rejected        atomic.Int64 // drain refusals + clients gone while queued
-	shed            atomic.Int64 // requests shed by the gate with 429 + Retry-After
-	breakerRejected atomic.Int64 // requests refused by an open circuit breaker
-	panics          atomic.Int64 // handler panics recovered
+	requests map[string]*atomic.Int64 // "route|code" -> count
+	latency  map[string]*histogram    // route -> histogram
+	inflight atomic.Int64
+	queued   atomic.Int64 // requests currently waiting for a worker slot
+	rejected atomic.Int64 // drain refusals + clients gone while queued
+	shed     atomic.Int64 // requests shed by the gate with 429 + Retry-After
+	panics   atomic.Int64 // handler panics recovered
 
 	// Cost-admission gate counters (see admission.go). The in-flight
 	// accumulator is in milli-units so reservation stays one CAS.
@@ -97,13 +96,6 @@ func writeExemplar(b *strings.Builder, v *atomic.Value, om bool) {
 	fmt.Fprintf(b, " # {trace_id=%q} %g", ex.traceID, ex.seconds)
 }
 
-// breakerStat is one route's circuit-breaker view for /metrics.
-type breakerStat struct {
-	route string
-	state BreakerState
-	opens int64
-}
-
 func newMetrics(routes []string) *metrics {
 	m := &metrics{
 		requests: make(map[string]*atomic.Int64),
@@ -115,8 +107,8 @@ func newMetrics(routes []string) *metrics {
 	return m
 }
 
-// countRequest records a completed request. The requests map is only
-// grown under the registry lock of Server.recordRequest.
+// key is the requests-map key of one (route, status code) pair. The
+// map is only grown under the registry lock of Server.recordRequest.
 func (m *metrics) key(route string, code int) string {
 	return fmt.Sprintf("%s|%d", route, code)
 }
@@ -125,7 +117,7 @@ func (m *metrics) key(route string, code int) string {
 // live sweep-engine and cache counters. om selects the OpenMetrics
 // format (exemplars on histogram buckets, trailing # EOF); false emits
 // the classic Prometheus text format, which has no exemplar syntax.
-func (m *metrics) render(b *strings.Builder, snap sweep.Snapshot, cs sweep.CacheStats, brs []breakerStat, om bool) {
+func (m *metrics) render(b *strings.Builder, snap sweep.Snapshot, cs sweep.CacheStats, om bool) {
 	fmt.Fprintf(b, "# HELP hpfserve_requests_total Completed requests by route and status code.\n")
 	fmt.Fprintf(b, "# TYPE hpfserve_requests_total counter\n")
 	keys := make([]string, 0, len(m.requests))
@@ -174,19 +166,6 @@ func (m *metrics) render(b *strings.Builder, snap sweep.Snapshot, cs sweep.Cache
 	fmt.Fprintf(b, "# HELP hpfserve_shed_total Requests shed by the saturated concurrency gate (429 + Retry-After).\n")
 	fmt.Fprintf(b, "# TYPE hpfserve_shed_total counter\n")
 	fmt.Fprintf(b, "hpfserve_shed_total %d\n", m.shed.Load())
-	fmt.Fprintf(b, "# HELP hpfserve_breaker_rejected_total Requests refused by an open circuit breaker.\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_breaker_rejected_total counter\n")
-	fmt.Fprintf(b, "hpfserve_breaker_rejected_total %d\n", m.breakerRejected.Load())
-	fmt.Fprintf(b, "# HELP hpfserve_breaker_state Circuit breaker state by route (0=closed, 1=half-open, 2=open).\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_breaker_state gauge\n")
-	for _, br := range brs {
-		fmt.Fprintf(b, "hpfserve_breaker_state{route=%q} %d\n", br.route, int(br.state))
-	}
-	fmt.Fprintf(b, "# HELP hpfserve_breaker_opens_total Circuit breaker open transitions by route.\n")
-	fmt.Fprintf(b, "# TYPE hpfserve_breaker_opens_total counter\n")
-	for _, br := range brs {
-		fmt.Fprintf(b, "hpfserve_breaker_opens_total{route=%q} %d\n", br.route, br.opens)
-	}
 	fmt.Fprintf(b, "# HELP hpfserve_cost_rejected_total Requests refused by the static cost-admission gate (429 with the estimate in the body).\n")
 	fmt.Fprintf(b, "# TYPE hpfserve_cost_rejected_total counter\n")
 	fmt.Fprintf(b, "hpfserve_cost_rejected_total %d\n", m.costRejected.Load())

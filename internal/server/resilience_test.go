@@ -147,66 +147,39 @@ func TestQueueWaitExpiryShed(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBreakerOpensAndRecovers drives a route to threshold consecutive
-// 500s via fault injection, asserts the breaker opens (503 overload
-// without invoking the pipeline), then waits out the cooldown with
-// faults off and asserts a half-open probe closes it again.
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	const threshold = 3
-	withServerFaults(t, "server.predict:1:error", 1)
-	_, ts := newTestServer(t, Config{
-		BreakerThreshold: threshold,
-		BreakerCooldown:  100 * time.Millisecond,
-	})
+// TestRepeatedPanicsDoNotShedRoute: a failure belongs to its input,
+// not to the route. With the default configuration, a long run of
+// consecutive 500s on /v1/predict must not change how later requests
+// are answered: every predict fails with 500 on its own merits,
+// /v1/analyze keeps answering 200 meanwhile, and once the fault is gone
+// the very next predict succeeds with no 503 shedding in between.
+func TestRepeatedPanicsDoNotShedRoute(t *testing.T) {
+	const failures = 12
+	withServerFaults(t, "server.predict:1:panic", 1)
+	_, ts := newTestServer(t, Config{})
 	body := map[string]any{"source": tinyProgram}
 
-	for i := 0; i < threshold; i++ {
+	for i := 0; i < failures; i++ {
 		resp, raw := post(t, ts.URL+"/v1/predict", body)
 		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("request %d: status = %d body %s, want 500", i, resp.StatusCode, raw)
+			t.Fatalf("predict %d: status = %d body %s, want 500", i, resp.StatusCode, raw)
+		}
+		var er ErrorResponse
+		if json.Unmarshal(raw, &er) != nil || er.Stage != "internal" {
+			t.Fatalf("predict %d: body = %s, want internal stage", i, raw)
+		}
+		if resp, raw := post(t, ts.URL+"/v1/analyze", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("analyze after %d predict 500s: status = %d body %s, want 200", i+1, resp.StatusCode, raw)
 		}
 	}
-	// The breaker is now open: next request is refused without running
-	// the handler (stage "overload", Retry-After set).
-	resp, raw := post(t, ts.URL+"/v1/predict", body)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("post-threshold status = %d body %s, want 503", resp.StatusCode, raw)
-	}
-	var er ErrorResponse
-	if json.Unmarshal(raw, &er) != nil || er.Stage != "overload" || !strings.Contains(er.Error, "circuit breaker") {
-		t.Errorf("breaker rejection body = %s", raw)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("breaker rejection missing Retry-After")
-	}
 
-	// Other routes are unaffected (per-route breakers).
-	if resp, raw := post(t, ts.URL+"/v1/analyze", map[string]any{"source": tinyProgram}); resp.StatusCode != http.StatusOK {
-		t.Errorf("analyze status = %d body %s while predict breaker open", resp.StatusCode, raw)
-	}
-
-	// The open state is visible in /metrics.
-	metrics := string(mustReadAll(t, ts.URL+"/metrics"))
-	if !strings.Contains(metrics, `hpfserve_breaker_state{route="predict"} 2`) {
-		t.Errorf("metrics do not show predict breaker open:\n%s", grepLines(metrics, "breaker"))
-	}
-
-	// Heal the route and wait out the cooldown: the half-open probe
-	// succeeds and the breaker closes.
 	faults.Deactivate()
-	time.Sleep(150 * time.Millisecond)
 	if resp, raw := post(t, ts.URL+"/v1/predict", body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("probe status = %d body %s, want 200", resp.StatusCode, raw)
+		t.Fatalf("predict after faults off: status = %d body %s, want 200", resp.StatusCode, raw)
 	}
-	if resp, raw := post(t, ts.URL+"/v1/predict", body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-recovery status = %d body %s, want 200", resp.StatusCode, raw)
-	}
-	metrics = string(mustReadAll(t, ts.URL+"/metrics"))
-	if !strings.Contains(metrics, `hpfserve_breaker_state{route="predict"} 0`) {
-		t.Errorf("breaker did not close after successful probe:\n%s", grepLines(metrics, "breaker"))
-	}
-	if !strings.Contains(metrics, `hpfserve_breaker_opens_total{route="predict"} 1`) {
-		t.Errorf("open transition not counted:\n%s", grepLines(metrics, "breaker"))
+	metrics := string(mustReadAll(t, ts.URL+"/metrics"))
+	if !strings.Contains(metrics, fmt.Sprintf("hpfserve_panics_total %d\n", failures)) {
+		t.Errorf("panics not counted once per request:\n%s", grepLines(metrics, "panics"))
 	}
 }
 
@@ -218,23 +191,6 @@ func grepLines(s, substr string) string {
 		}
 	}
 	return strings.Join(out, "\n")
-}
-
-// TestBreakerIgnoresClientErrors: 4xx responses must not open the
-// breaker — only internal (500) failures count.
-func TestBreakerIgnoresClientErrors(t *testing.T) {
-	const threshold = 2
-	_, ts := newTestServer(t, Config{BreakerThreshold: threshold})
-	for i := 0; i < threshold*3; i++ {
-		resp, _ := post(t, ts.URL+"/v1/predict", map[string]any{"source": ""})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status = %d, want 400", resp.StatusCode)
-		}
-	}
-	resp, raw := post(t, ts.URL+"/v1/predict", map[string]any{"source": tinyProgram})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d body %s after client errors, want 200 (breaker must stay closed)", resp.StatusCode, raw)
-	}
 }
 
 // TestTypedPanicClassification is the satellite fix for the brittle
@@ -271,7 +227,7 @@ func TestTypedPanicClassification(t *testing.T) {
 // handler's recover path end to end and is counted in /metrics.
 func TestInjectedServerPanicRecovered(t *testing.T) {
 	withServerFaults(t, "server.analyze:1:panic", 3)
-	_, ts := newTestServer(t, Config{BreakerThreshold: -1})
+	_, ts := newTestServer(t, Config{})
 	resp, raw := post(t, ts.URL+"/v1/analyze", map[string]any{"source": tinyProgram})
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status = %d body %s, want 500 from injected panic", resp.StatusCode, raw)
@@ -315,10 +271,10 @@ func TestDrainRejectionAdvertisesRetryAfter(t *testing.T) {
 }
 
 // TestRefusalsCarryCorrelationIDs is the regression test for the
-// request-ID gap: shed (429), breaker-open (503), and drain (503)
-// refusals used to omit request_id/trace_id, leaving refused requests
-// uncorrelatable with server logs. Every refusal path must now carry
-// both fields in the body and the X-HPF-Request-Id header.
+// request-ID gap: shed (429) and drain (503) refusals used to omit
+// request_id/trace_id, leaving refused requests uncorrelatable with
+// server logs. Every refusal path, and an internal failure (500), must
+// now carry both fields in the body and the X-HPF-Request-Id header.
 func TestRefusalsCarryCorrelationIDs(t *testing.T) {
 	checkIDs := func(t *testing.T, resp *http.Response, raw []byte) {
 		t.Helper()
@@ -380,24 +336,12 @@ func TestRefusalsCarryCorrelationIDs(t *testing.T) {
 		}
 	})
 
-	t.Run("breaker-open-503", func(t *testing.T) {
-		const threshold = 2
+	t.Run("internal-500", func(t *testing.T) {
 		withServerFaults(t, "server.predict:1:error", 7)
-		_, ts := newTestServer(t, Config{
-			BreakerThreshold: threshold,
-			BreakerCooldown:  time.Minute,
-		})
-		body := map[string]any{"source": tinyProgram}
-		for i := 0; i < threshold; i++ {
-			resp, raw := post(t, ts.URL+"/v1/predict", body)
-			if resp.StatusCode != http.StatusInternalServerError {
-				t.Fatalf("request %d: status = %d body %s, want 500", i, resp.StatusCode, raw)
-			}
-			checkIDs(t, resp, raw) // 500s carry IDs too
-		}
-		resp, raw := post(t, ts.URL+"/v1/predict", body)
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("post-threshold status = %d body %s, want 503", resp.StatusCode, raw)
+		_, ts := newTestServer(t, Config{})
+		resp, raw := post(t, ts.URL+"/v1/predict", map[string]any{"source": tinyProgram})
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("status = %d body %s, want 500", resp.StatusCode, raw)
 		}
 		checkIDs(t, resp, raw)
 	})
@@ -429,18 +373,4 @@ func TestRefusalsCarryCorrelationIDs(t *testing.T) {
 		}
 		checkIDs(t, resp, raw)
 	})
-}
-
-func TestBreakerStateString(t *testing.T) {
-	cases := map[BreakerState]string{
-		BreakerClosed:   "closed",
-		BreakerHalfOpen: "half-open",
-		BreakerOpen:     "open",
-		BreakerState(9): "unknown",
-	}
-	for s, want := range cases {
-		if got := s.String(); got != want {
-			t.Errorf("BreakerState(%d).String() = %q, want %q", s, got, want)
-		}
-	}
 }

@@ -63,13 +63,6 @@ type Config struct {
 	// admitted when no priced work is in flight, so a single request
 	// larger than the budget cannot starve.
 	MaxInflightCostUnits float64
-	// BreakerThreshold is the consecutive internal-failure (HTTP 500)
-	// count that opens a route's circuit breaker (0 = 8, < 0 disables
-	// the breakers).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker sheds a route before
-	// admitting a half-open probe (<= 0 = 5s).
-	BreakerCooldown time.Duration
 	// MaxBatchPoints caps how many points one POST /v1/batch request may
 	// carry (<= 0 = 1024). Larger tables should split; each sub-batch
 	// still shares compiles through the engine cache.
@@ -103,18 +96,21 @@ type Config struct {
 // Server is the hpfserve HTTP API. Create with New, expose with
 // Handler, and drain with Shutdown before process exit.
 type Server struct {
-	cfg      Config
-	eng      *sweep.Engine
-	mux      *http.ServeMux
-	sem      chan struct{}
-	met      *metrics
-	ring     *obs.Ring           // last N request traces (GET /v1/traces)
-	breakers map[string]*breaker // per-route; nil map when disabled
-	jobs     *jobs.Manager       // durable async jobs; nil until OpenJobs
+	cfg  Config
+	eng  *sweep.Engine
+	mux  *http.ServeMux
+	sem  chan struct{}
+	met  *metrics
+	ring *obs.Ring     // last N request traces (GET /v1/traces)
+	jobs *jobs.Manager // durable async jobs; nil until OpenJobs
 
-	reqMu    sync.Mutex // guards met.requests growth
+	reqMu sync.Mutex // guards met.requests growth
+
+	// drainMu makes the drain check and inflight.Add one step (admit),
+	// so no request is counted after Shutdown has started waiting.
+	drainMu  sync.Mutex
+	draining atomic.Bool // set under drainMu; read freely by /healthz
 	inflight sync.WaitGroup
-	draining atomic.Bool
 
 	// priceMu/prices memoize the static cost estimate per compiled
 	// program: the engine's LRU hands back pointer-identical *hir.Program
@@ -161,12 +157,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxQueueDepth <= 0 {
 		cfg.MaxQueueDepth = 4 * cfg.MaxConcurrent
 	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 8
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 5 * time.Second
-	}
 	if cfg.TraceRing <= 0 {
 		cfg.TraceRing = 64
 	}
@@ -184,12 +174,6 @@ func New(cfg Config) *Server {
 		sem:  make(chan struct{}, cfg.MaxConcurrent),
 		met:  newMetrics(routes),
 		ring: obs.NewRing(cfg.TraceRing),
-	}
-	if cfg.BreakerThreshold > 0 {
-		s.breakers = make(map[string]*breaker, len(routes))
-		for _, r := range routes {
-			s.breakers[r] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-		}
 	}
 	s.mux.HandleFunc("/v1/predict", s.api(routePredict, s.handlePredict))
 	s.mux.HandleFunc("/v1/measure", s.api(routeMeasure, s.handleMeasure))
@@ -224,7 +208,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // its error). Pair it with http.Server.Shutdown for connection-level
 // draining.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.drainMu.Lock()
 	s.draining.Store(true)
+	s.drainMu.Unlock()
 	if s.jobs != nil {
 		if err := s.jobs.Drain(ctx); err != nil {
 			return err
@@ -241,6 +227,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// errDraining refuses every request that arrives after Shutdown began.
+var errDraining = errors.New("server is draining")
+
+// admit counts a request in flight, or reports false once Shutdown has
+// begun. Checking and counting under one lock means a request is
+// either counted before Shutdown waits, and waited for, or refused. An
+// admitted request must call s.inflight.Done when it finishes.
+func (s *Server) admit() bool {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.inflight.Add(1)
+	return true
 }
 
 // reqMeta is the per-request correlation state: the request ID (always
@@ -356,17 +359,16 @@ func (s *Server) acquireSlot(w http.ResponseWriter, r *http.Request, meta reqMet
 }
 
 // api wraps one POST handler with the serving-stack concerns: method
-// filtering, drain refusal, the circuit breaker, the load-shedding
-// concurrency gate, the body-size cap, fault injection, panic
-// recovery, latency/metrics accounting and JSON error rendering.
+// filtering, drain refusal, the load-shedding concurrency gate, the
+// body-size cap, fault injection, panic recovery, latency/metrics
+// accounting and JSON error rendering.
 func (s *Server) api(route string, h func(ctx context.Context, body []byte) (any, *apiError)) http.HandlerFunc {
-	br := s.breakers[route] // nil when breakers are disabled
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		code := http.StatusOK
 		// Correlation IDs are minted before any branch, and echoed both
-		// as headers and in every JSON body — including shed, breaker,
-		// drain and method rejections — so no response is anonymous.
+		// as headers and in every JSON body — including shed, drain and
+		// method rejections — so no response is anonymous.
 		meta := s.newMeta(r)
 		w.Header().Set("X-HPF-Request-Id", meta.reqID)
 		w.Header().Set("traceparent", obs.FormatTraceparent(meta.traceID))
@@ -400,29 +402,13 @@ func (s *Server) api(route string, h func(ctx context.Context, body []byte) (any
 			writeError(w, code, "decode", fmt.Errorf("use POST"), meta)
 			return
 		}
-		if s.draining.Load() {
+		if !s.admit() {
 			code = http.StatusServiceUnavailable
 			s.met.rejected.Add(1)
 			retryAfterHeader(w, s.cfg.QueueWait)
-			writeError(w, code, "overload", fmt.Errorf("server is draining"), meta)
+			writeError(w, code, "overload", errDraining, meta)
 			return
 		}
-
-		// The circuit breaker fails fast before any work when the route's
-		// pipeline has been failing consecutively; only internal failures
-		// (HTTP 500) count against it.
-		if retry, ok := br.allow(start); !ok {
-			code = http.StatusServiceUnavailable
-			s.met.breakerRejected.Add(1)
-			retryAfterHeader(w, retry)
-			writeError(w, code, "overload", fmt.Errorf("circuit breaker open for %s", route), meta)
-			return
-		}
-		// Every path below reports its outcome, so a half-open probe can
-		// never be leaked in flight.
-		defer func() { br.report(code == http.StatusInternalServerError, time.Now()) }()
-
-		s.inflight.Add(1)
 		defer s.inflight.Done()
 		s.met.inflight.Add(1)
 		defer s.met.inflight.Add(-1)
@@ -524,8 +510,10 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 
 // ctxErr classifies a pipeline error: deadline and cancellation get
 // timeout statuses, recovered panics are typed (*sweep.PanicError →
-// 500), other transient failures advertise 503 so well-behaved clients
-// retry, and everything else falls through to fallback.
+// 500, which clients treat as permanent: a real panic is cached per
+// key and repeats for the same input), injected faults advertise 503
+// so well-behaved clients retry, and everything else falls through to
+// fallback.
 func ctxErr(err error, fallbackStatus int, stage string) *apiError {
 	var pe *sweep.PanicError
 	switch {
@@ -829,17 +817,10 @@ func acceptsOpenMetrics(r *http.Request) bool {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var brs []breakerStat
-	for _, route := range []string{routeAnalyze, routeAutotune, routeMeasure, routePredict} {
-		if b, ok := s.breakers[route]; ok {
-			state, opens := b.snapshot()
-			brs = append(brs, breakerStat{route: route, state: state, opens: opens})
-		}
-	}
 	om := acceptsOpenMetrics(r)
 	var b strings.Builder
 	s.reqMu.Lock()
-	s.met.render(&b, s.eng.Snapshot(), s.eng.Cache().CacheStats(), brs, om)
+	s.met.render(&b, s.eng.Snapshot(), s.eng.Cache().CacheStats(), om)
 	s.reqMu.Unlock()
 	if s.jobs != nil {
 		renderJobsMetrics(&b, s.jobs.Metrics())

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -345,7 +346,24 @@ func TestShutdownDrainsInflight(t *testing.T) {
 		result <- resp.StatusCode
 	}()
 	<-started
-	time.Sleep(50 * time.Millisecond) // let the request be admitted
+	// Wait until the request is admitted: /healthz counts it in flight.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		var h HealthResponse
+		if err := json.Unmarshal(mustReadAll(t, ts.URL+"/healthz"), &h); err != nil {
+			t.Fatal(err)
+		}
+		if h.Inflight == 1 {
+			break
+		}
+		select {
+		case code := <-result:
+			t.Fatalf("request finished with %d before it was seen in flight", code)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("request never admitted")
+		}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
@@ -353,6 +371,94 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	}
 	if code := <-result; code != http.StatusOK {
 		t.Errorf("in-flight request finished with %d, want 200", code)
+	}
+}
+
+// okCounter counts the 200 responses its handler writes.
+type okCounter struct {
+	http.ResponseWriter
+	n *atomic.Int64
+}
+
+func (w okCounter) WriteHeader(code int) {
+	if code == http.StatusOK {
+		w.n.Add(1)
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// TestShutdownRacesAdmission races concurrent requests against
+// Shutdown and asserts the drain ordering: each request is either
+// served (200) or refused as draining (503), and every handler that
+// served a 200 wrote it before Shutdown returned — a request admitted
+// while Shutdown waits must be waited for.
+func TestShutdownRacesAdmission(t *testing.T) {
+	const n = 16
+	s := New(Config{})
+	var written atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.Handler().ServeHTTP(okCounter{w, &written}, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	type outcome struct {
+		code int
+		body []byte
+		err  error
+	}
+	out := make([]outcome, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			raw, _ := json.Marshal(MeasureRequest{Source: bigSource(4), Seed: int64(i + 1)})
+			<-start
+			resp, err := http.Post(ts.URL+"/v1/measure", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				out[i].err = err
+				return
+			}
+			defer resp.Body.Close()
+			var buf bytes.Buffer
+			_, out[i].err = buf.ReadFrom(resp.Body)
+			out[i].code, out[i].body = resp.StatusCode, buf.Bytes()
+		}(i)
+	}
+	close(start)
+	// Shut down once the first request is in flight, so admissions and
+	// refusals interleave with the drain.
+	for deadline := time.Now().Add(10 * time.Second); s.met.inflight.Load() == 0 && written.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown did not drain: %v", err)
+	}
+	servedBeforeShutdown := written.Load()
+	wg.Wait()
+
+	served := int64(0)
+	for i, o := range out {
+		switch {
+		case o.err != nil:
+			t.Errorf("request %d: %v", i, o.err)
+		case o.code == http.StatusOK:
+			served++
+		case o.code == http.StatusServiceUnavailable:
+			var er ErrorResponse
+			if json.Unmarshal(o.body, &er) != nil || er.Error != "server is draining" {
+				t.Errorf("request %d: 503 body %s, want a drain refusal", i, o.body)
+			}
+		default:
+			t.Errorf("request %d: status %d body %s, want 200 or 503", i, o.code, o.body)
+		}
+	}
+	t.Logf("%d of %d requests served, the rest refused", served, n)
+	if served != servedBeforeShutdown {
+		t.Errorf("%d requests served, %d of them before Shutdown returned", served, servedBeforeShutdown)
 	}
 }
 

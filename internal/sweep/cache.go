@@ -94,9 +94,10 @@ type program struct {
 // lru is the single-flight, bounded memo behind every cached kind. The
 // first goroutine to ask for a key builds its value; later ones wait for
 // that build (or for their own context to end). A build whose error is
-// poisoned is dropped, so the next request rebuilds; beyond cap entries
-// the least recently used is evicted and counted. The zero value with
-// stage and cap set is ready to use.
+// poisoned is dropped, so the next request rebuilds; any other error is
+// cached like a value. Beyond cap entries the least recently used is
+// evicted and counted. The zero value with stage and cap set is ready
+// to use.
 type lru[V any] struct {
 	stage     string // *PanicError stage of a panicking build
 	cap       int
@@ -150,9 +151,9 @@ func (l *lru[V]) get(ctx context.Context, key string, lookup func(hit bool), bui
 	lookup(false)
 	e.run(l.stage, build)
 	if poisoned(e.err) {
-		// A cancelled, panicked or fault-injected build is the attempt's
-		// failure, not the key's. Deterministic errors stay cached (they
-		// will fail identically every time).
+		// A cancelled or fault-injected build is the attempt's failure,
+		// not the key's. Deterministic errors and real panics stay
+		// cached (they will fail identically every time).
 		l.mu.Lock()
 		if l.m[key] == e {
 			delete(l.m, key)
@@ -277,9 +278,11 @@ func machineKey(name string) string {
 }
 
 // poisoned reports whether a build error must not be memoized:
-// cancellations are the requester's failure, and transient failures
-// (recovered panics, injected faults) may succeed on rebuild. Only
-// deterministic pipeline errors stay cached.
+// cancellations are the requester's failure, and injected faults and
+// injected panics (IsTransient) are the attempt's. Deterministic
+// pipeline errors and real panics are the key's: the pipeline is a pure
+// function of its input, so they stay cached and fail every later
+// lookup identically, bounded by the LRU's capacity like any value.
 func poisoned(err error) bool {
 	if err == nil {
 		return false
@@ -502,7 +505,7 @@ func (sp MeasureSpec) fingerprint() string {
 
 // Measure returns the simulated-execution result for (src, copts, spec),
 // running the simulator at most once per live key. Results are shared
-// and must be treated as immutable by callers. A cancelled, panicked or
+// and must be treated as immutable by callers. A cancelled or
 // fault-injected run is dropped from the cache so a later request
 // re-executes it.
 func (c *Cache) Measure(ctx context.Context, src string, copts compiler.Options, spec MeasureSpec, stats *Stats) (*exec.Result, error) {

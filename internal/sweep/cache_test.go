@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -176,32 +177,37 @@ func TestCancelledInterpretNotCached(t *testing.T) {
 }
 
 func TestCompilePanicBecomesError(t *testing.T) {
-	// recoverToErr must turn a front-end panic into an error and still
-	// close the single-flight channel (a second lookup returns the same
-	// cached error instead of hanging).
+	// recoverToErr must turn a front-end panic into a *PanicError and
+	// still close the single-flight channel. The panic is the key's
+	// deterministic result, so a second lookup returns the same cached
+	// error instead of hanging or compiling again.
 	c := NewCacheSize(8)
 	var stats Stats
-	// A NUL byte makes the scanner's column arithmetic safe but exercises
-	// robustness; if nothing in the pipeline panics on this input the test
-	// still verifies error (not hang) semantics end to end.
-	src := "      PROGRAM P\n\x00\x00\xff garbage \n      END\n"
+	src := tinySource(15)
+	key := compileKey(src, compiler.Options{})
 	done := make(chan struct{})
 	var err1, err2 error
 	go func() {
 		defer close(done)
-		_, err1 = c.Compile(context.Background(), src, compiler.Options{}, &stats)
+		_, err1 = c.compiles.get(context.Background(), key, func(bool) {}, func() (*program, error) {
+			panic("front end")
+		})
 		_, err2 = c.Compile(context.Background(), src, compiler.Options{}, &stats)
 	}()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("compile hung on malformed input")
+		t.Fatal("lookup hung after a panicking compile")
 	}
-	if err1 == nil || err2 == nil {
-		t.Fatalf("errs = %v / %v, want errors for garbage input", err1, err2)
+	var pe *PanicError
+	if !errors.As(err1, &pe) || pe.Stage != "compile" {
+		t.Fatalf("err = %T %v, want a compile-stage *PanicError", err1, err1)
 	}
-	if err1.Error() != err2.Error() {
-		t.Errorf("second lookup returned different error: %v vs %v", err1, err2)
+	if err2 != err1 {
+		t.Errorf("second lookup returned %v, want the cached %v", err2, err1)
+	}
+	if h, n := stats.CompileHits.Load(), stats.Compiles.Load(); h != 1 || n != 0 {
+		t.Errorf("compile hits = %d, compiles = %d; want the cached panic (1, 0)", h, n)
 	}
 }
 
@@ -641,16 +647,17 @@ func TestFormEvictedWithProgram(t *testing.T) {
 	}
 }
 
-// TestFormBuildFailureNotCached checks the poison rule for forms: a
-// fault or panic while building a form is not memoized, and it leaves
-// the program's compile entry cached.
+// TestFormBuildFailureNotCached checks the poison rule for forms: an
+// injected fault or injected panic while building a form is the
+// attempt's failure, so it is not memoized, and it leaves the program's
+// compile entry cached.
 func TestFormBuildFailureNotCached(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		build func() (*core.Compiled, error)
 	}{
 		{"fault", func() (*core.Compiled, error) { return nil, &faults.InjectedError{Site: faults.SiteInterp} }},
-		{"panic", func() (*core.Compiled, error) { panic("form build") }},
+		{"panic", func() (*core.Compiled, error) { panic(&faults.InjectedPanic{Site: faults.SiteInterp}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewCacheSize(4)
@@ -679,5 +686,56 @@ func TestFormBuildFailureNotCached(t *testing.T) {
 				t.Errorf("compiles = %d, compile entries = %d; want the program kept", n, m)
 			}
 		})
+	}
+}
+
+// TestFormBuildPanicCached checks the other half of the rule: a real
+// panic while building a form is the key's deterministic result. Its
+// build runs once; every later lookup, including the waiters parked on
+// that build, gets the same *PanicError.
+func TestFormBuildPanicCached(t *testing.T) {
+	const lookups = 8
+	c := NewCacheSize(4)
+	ctx := context.Background()
+	src := tinySource(16)
+	p, err := c.lookupProgram(ctx, src, compiler.Options{}, compileKey(src, compiler.Options{}), nil, func(bool) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := machineKey("") + "|form"
+	var builds atomic.Int64
+	release := make(chan struct{})
+	build := func() (*core.Compiled, error) {
+		builds.Add(1)
+		<-release
+		panic("form build")
+	}
+	errs := make([]error, lookups)
+	var parked sync.WaitGroup
+	var wg sync.WaitGroup
+	for i := 0; i < lookups; i++ {
+		parked.Add(1)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = p.form.get(ctx, key, func(bool) { parked.Done() }, build)
+		}(i)
+	}
+	parked.Wait() // every lookup has probed: one builds, the rest wait
+	close(release)
+	wg.Wait()
+	_, again := p.form.get(ctx, key, func(bool) {}, build)
+
+	var pe *PanicError
+	if !errors.As(again, &pe) || IsTransient(again) {
+		t.Fatalf("err = %T %v, want a permanent *PanicError", again, again)
+	}
+	for i, err := range errs {
+		if err != again {
+			t.Errorf("lookup %d: err = %v, want the cached %v", i, err, again)
+		}
+	}
+	if n := builds.Load(); n != 1 {
+		t.Errorf("builds = %d over %d lookups, want 1", n, lookups+1)
 	}
 }

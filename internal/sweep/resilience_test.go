@@ -62,9 +62,9 @@ func TestMapDoesNotRetryPermanentErrors(t *testing.T) {
 }
 
 func TestMapRecoversPointPanics(t *testing.T) {
-	// MaxAttempts 1: panics are transient, so a retrying policy would
-	// recover (and count) the deterministic re-panic several times.
-	e := New(Options{Workers: 4, Retry: fastRetry(1)})
+	// Under the default policy a real panic is permanent: the point is
+	// recovered (and counted) once, never retried into the same panic.
+	e := New(Options{Workers: 4})
 	_, err := Map(e, 10, func(i int) (int, error) {
 		if i == 6 {
 			panic("kaboom")
@@ -81,14 +81,17 @@ func TestMapRecoversPointPanics(t *testing.T) {
 	if got := e.Snapshot().PointPanics; got != 1 {
 		t.Errorf("point panics = %d, want 1", got)
 	}
+	if got := e.Snapshot().Retries; got != 0 {
+		t.Errorf("retries = %d, want 0", got)
+	}
 }
 
-func TestPanicsAreTransientAndRetried(t *testing.T) {
+func TestInjectedPanicsAreRetried(t *testing.T) {
 	e := New(Options{Workers: 2, Retry: fastRetry(3)})
 	var calls atomic.Int64
 	res, err := Map(e, 1, func(i int) (int, error) {
 		if calls.Add(1) == 1 {
-			panic("first attempt dies")
+			panic(&faults.InjectedPanic{Site: faults.SiteSweep})
 		}
 		return 42, nil
 	})
@@ -111,7 +114,8 @@ func TestIsTransient(t *testing.T) {
 		{nil, false},
 		{errors.New("plain"), false},
 		{&faults.InjectedError{Site: "compile"}, true},
-		{&PanicError{Stage: "x", Value: "v"}, true},
+		{&PanicError{Stage: "x", Value: "v"}, false},
+		{&PanicError{Stage: "x", Value: &faults.InjectedPanic{Site: "interp"}}, true},
 		{errors.Join(errors.New("wrap"), &faults.InjectedError{Site: "s"}), true},
 		{context.Canceled, false},
 	}

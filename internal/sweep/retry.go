@@ -6,9 +6,9 @@ import (
 )
 
 // RetryPolicy bounds the per-point retry loop of Map/MapCtx. Only
-// transient failures (IsTransient: injected faults, recovered panics)
-// are retried; deterministic pipeline errors fail the point on the
-// first attempt exactly as before. The zero value selects the
+// transient failures (IsTransient: injected faults and injected
+// panics) are retried; deterministic pipeline errors and real panics
+// fail the point on the first attempt. The zero value selects the
 // defaults.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts per point, including

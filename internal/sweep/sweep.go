@@ -101,9 +101,11 @@ func (e *Engine) Snapshot() Snapshot { return e.stats.Snapshot() }
 //
 // Each point runs isolated: a panicking fn is recovered into a
 // *PanicError instead of crashing the pool, and transient failures
-// (IsTransient) are retried under the engine's RetryPolicy with
-// exponential backoff and jitter. Deterministic errors fail the point
-// on the first attempt, so happy-path sweeps behave exactly as before.
+// (IsTransient: injected faults) are retried under the engine's
+// RetryPolicy with exponential backoff and jitter. Deterministic errors
+// and real panics fail the point on the first attempt: the point is a
+// pure function of its input, so another attempt would fail the same
+// way.
 func Map[T any](e *Engine, n int, fn func(i int) (T, error)) ([]T, error) {
 	return MapCtx(context.Background(), e, n, fn)
 }
